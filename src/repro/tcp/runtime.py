@@ -72,7 +72,7 @@ from repro.tcp.wal import (
     quarantine_wal,
     recover_wal,
 )
-from repro.types import RegisterName, ReplicaId, Update, UpdateId
+from repro.types import Edge, RegisterName, ReplicaId, Update, UpdateId
 from repro.wire.codec import (
     canonical_edge_order,
     decode_stabilize_frame,
@@ -461,6 +461,12 @@ class TcpReplicaServer:
         # cursor replay after a reconnect is unchanged.
         self._staged: Dict[ReplicaId, List[Tuple[int, bytes]]] = {}
         self._flush_handle: Any = None
+        # The last Send's (update, order, bytes): an edge-policy fan-out
+        # hands every recipient the same Update and order, so a write is
+        # encoded once however many peers it reaches.
+        self._last_encoded: Optional[
+            Tuple[Update, Tuple[Edge, ...], bytes]
+        ] = None
         # While a received batch is applying, acks are deferred: one
         # cumulative ACK per affected sender after a single WAL flush.
         self._ack_deferred = False
@@ -817,7 +823,13 @@ class TcpReplicaServer:
             chanseq = eff.update.timestamp.get((self.replica_id, eff.dst))
             if chanseq is None:  # pragma: no cover - incident edges exist
                 raise ProtocolError(f"no out-edge toward {eff.dst!r}")
-            encoded = encode_update(eff.update, self._enc_orders[eff.dst])
+            order = self._enc_orders[eff.dst]
+            last = self._last_encoded
+            if last is not None and last[0] is eff.update and last[1] is order:
+                encoded = last[2]
+            else:
+                encoded = encode_update(eff.update, order)
+                self._last_encoded = (eff.update, order, encoded)
             outbox = self._outbox[eff.dst]
             outbox[chanseq] = encoded
             if len(outbox) > self.stats.outbox_high_water:

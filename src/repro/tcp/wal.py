@@ -67,10 +67,15 @@ class WalEntry:
     seq: Optional[int] = None  # issue: the issuer sequence of the update
 
 
+#: The canonical serialization, ``json.dumps(doc, sort_keys=True)``,
+#: without building a fresh encoder on every call.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def record_crc(doc: dict) -> int:
     """CRC32 over the canonical serialization of ``doc`` minus ``"c"``."""
     body = {key: value for key, value in doc.items() if key != "c"}
-    payload = json.dumps(body, sort_keys=True).encode("utf-8")
+    payload = _canonical_json(body).encode("utf-8")
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
@@ -124,8 +129,12 @@ class WriteAheadLog:
     def _append(self, doc: dict) -> None:
         if self._fh is None:
             raise ProtocolError(f"WAL {self.path} is not open")
-        doc["c"] = record_crc(doc)
-        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        # One serialization serves both the checksum and the line: "c"
+        # sorts before every record key, so splicing it in at the front
+        # yields exactly ``json.dumps(dict(doc, c=crc), sort_keys=True)``.
+        body = _canonical_json(doc)
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        self._fh.write('{"c": %d, %s\n' % (crc, body[1:]))
         # flush() hands the bytes to the kernel: they survive SIGKILL of
         # this process (the failure mode under test), though not a host
         # crash -- fsync per event would dominate latency for a property

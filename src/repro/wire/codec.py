@@ -12,11 +12,20 @@ This is deliberately schema-light: the experiments only need faithful
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.core.engine.stabilization import StabilizeFrame
 
+from repro.core.edge_index import EdgeIndex
 from repro.core.timestamp import Timestamp
 from repro.errors import ProtocolError, WireDecodeError
 from repro.types import Edge, Update, UpdateId
@@ -32,33 +41,153 @@ def canonical_edge_order(edges) -> Tuple[Edge, ...]:
     return tuple(sorted(edges, key=lambda e: (str(e[0]), str(e[1]))))
 
 
+# ----------------------------------------------------------------------
+# Compiled edge orders
+# ----------------------------------------------------------------------
+#: Every one- and two-byte varint, pre-encoded: live counters are
+#: emitted by table lookup; larger (and negative) values fall back to
+#: :func:`encode_uvarint`, so the output is the same either way.
+_VARINT_TABLE_SIZE = 1 << 14
+_VARINTS = tuple(encode_uvarint(v) for v in range(_VARINT_TABLE_SIZE))
+
+#: Entries kept per plan cache.  Orders are static per-channel
+#: configuration (a handful per process), so the bound only matters to
+#: a caller that builds a fresh order object for every call.
+_PLAN_CACHE_MAX = 256
+
+
+def _bounded_put(cache: Dict[Any, Any], key: Any, value: Any) -> Any:
+    if len(cache) >= _PLAN_CACHE_MAX:
+        del cache[next(iter(cache))]  # evict the oldest entry
+    cache[key] = value
+    return value
+
+
+class _OrderPlan:
+    """One edge order compiled for the codec.
+
+    ``eindex`` is the interned index of the order's edges, ``header`` the
+    encoded count.  ``gathers`` maps the index of a timestamp being
+    encoded to the positions, in wire order, of its counters (``None``
+    when the counters already sit in wire order); ``scatter`` lists, per
+    ``eindex`` position, the wire position its decoded counter comes
+    from (``None`` for the identity).
+    """
+
+    __slots__ = ("order", "eindex", "header", "gathers", "scatter")
+
+    def __init__(self, order: Tuple[Edge, ...]) -> None:
+        self.order = order
+        self.eindex = EdgeIndex.of(order)
+        self.header = encode_uvarint(len(order))
+        self.gathers: Dict[EdgeIndex, Optional[Tuple[int, ...]]] = {}
+        scatter = [0] * len(self.eindex)
+        for wire_pos, edge in enumerate(order):
+            scatter[self.eindex.position[edge]] = wire_pos  # last one wins
+        identity = scatter == list(range(len(order)))
+        self.scatter = None if identity else tuple(scatter)
+
+    def gather(self, eindex: EdgeIndex) -> Optional[Tuple[int, ...]]:
+        """Wire-order positions of the order's counters in ``eindex``."""
+        try:
+            return self.gathers[eindex]
+        except KeyError:
+            pass
+        picks = None
+        if eindex is not self.eindex or self.scatter is not None:
+            try:
+                picks = tuple([eindex.position[e] for e in self.order])
+            except KeyError as exc:
+                raise ProtocolError(
+                    f"timestamp missing edge {exc.args[0]!r}"
+                ) from None
+        return _bounded_put(self.gathers, eindex, picks)
+
+
+#: ``id(order) -> (order, plan)``: the hot path's identity lookup.  The
+#: entry holds ``order`` itself, so the id cannot be reused while cached.
+_plans_by_id: Dict[int, Tuple[Sequence[Edge], _OrderPlan]] = {}
+#: Plans by order contents, shared by equal orders built separately.
+_plans: Dict[Tuple[Edge, ...], _OrderPlan] = {}
+#: Plans of the canonical order of each index (the ``order=None`` path).
+_default_plans: Dict[EdgeIndex, _OrderPlan] = {}
+
+
+def _plan_for(
+    order: Optional[Sequence[Edge]], eindex: EdgeIndex
+) -> _OrderPlan:
+    """The compiled plan of ``order`` (``None``: canonical for ``eindex``)."""
+    if order is None:
+        plan = _default_plans.get(eindex)
+        if plan is None:
+            plan = _plan_for(canonical_edge_order(eindex.keys), eindex)
+            _bounded_put(_default_plans, eindex, plan)
+        return plan
+    hit = _plans_by_id.get(id(order))
+    if hit is not None and hit[0] is order:
+        return hit[1]
+    key = tuple(order)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _bounded_put(_plans, key, _OrderPlan(key))
+    _bounded_put(_plans_by_id, id(order), (order, plan))
+    return plan
+
+
 def encode_timestamp(ts: Timestamp, order: Sequence[Edge] = None) -> bytes:
     """Encode counters in canonical (or supplied) edge order."""
-    if order is None:
-        order = canonical_edge_order(ts.index)
-    out = bytearray(encode_uvarint(len(order)))
-    for e in order:
-        value = ts.get(e)
-        if value is None:
-            raise ProtocolError(f"timestamp missing edge {e!r}")
-        out += encode_uvarint(value)
-    return bytes(out)
+    eindex = ts.edge_index
+    plan = _plan_for(order, eindex)
+    values = ts.values_array
+    picks = plan.gather(eindex)
+    if picks is not None:
+        values = [values[pos] for pos in picks]
+    return plan.header + b"".join(
+        [
+            _VARINTS[v] if 0 <= v < _VARINT_TABLE_SIZE else encode_uvarint(v)
+            for v in values
+        ]
+    )
 
 
 def decode_timestamp(
     data: bytes, order: Sequence[Edge], offset: int = 0
 ) -> Tuple[Timestamp, int]:
     """Decode counters against the shared edge order."""
+    plan = _plan_for(order, None)
     count, offset = decode_uvarint(data, offset)
-    if count != len(order):
+    if count != len(plan.order):
         raise WireDecodeError(
-            f"timestamp length {count} does not match index of {len(order)}"
+            f"timestamp length {count} does not match index of "
+            f"{len(plan.order)}"
         )
-    counters: Dict[Edge, int] = {}
-    for e in order:
-        value, offset = decode_uvarint(data, offset)
-        counters[e] = value
-    return Timestamp(counters), offset
+    # decode_uvarint inlined: one loop over the whole counter run.
+    values = []
+    append = values.append
+    try:
+        for _ in range(count):
+            byte = data[offset]
+            offset += 1
+            if byte < 0x80:
+                append(byte)
+                continue
+            value = byte & 0x7F
+            shift = 7
+            while True:
+                byte = data[offset]
+                offset += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise WireDecodeError("varint too long")
+            append(value)
+    except IndexError:
+        raise WireDecodeError("truncated varint") from None
+    if plan.scatter is not None:
+        values = [values[pos] for pos in plan.scatter]
+    return Timestamp.from_array(plan.eindex, values), offset
 
 
 def timestamp_wire_bytes(ts: Timestamp) -> int:
@@ -152,15 +281,15 @@ def encode_update(update: Update, order: Sequence[Edge] = None) -> bytes:
     Layout: seq varint | register (str value) | flags byte |
     value | timestamp.
     """
-    if order is None:
-        order = canonical_edge_order(update.timestamp.index)
-    out = bytearray()
-    out += encode_uvarint(update.uid.seq)
-    out += _encode_value(str(update.register))
-    out.append(1 if update.metadata_only else 0)
-    out += _encode_value(update.value)
-    out += encode_timestamp(update.timestamp, order)
-    return bytes(out)
+    return b"".join(
+        (
+            encode_uvarint(update.uid.seq),
+            _encode_value(str(update.register)),
+            b"\x01" if update.metadata_only else b"\x00",
+            _encode_value(update.value),
+            encode_timestamp(update.timestamp, order),
+        )
+    )
 
 
 _sorted_by_name = lambda items: sorted(items, key=lambda kv: str(kv[0]))
@@ -255,7 +384,9 @@ def decode_update(
         raise WireDecodeError(f"update register must be a string, got {register!r}")
     if offset >= len(data):
         raise WireDecodeError("truncated update flags")
-    metadata_only = bool(data[offset])
+    flags = data[offset]
+    if flags > 1:
+        raise WireDecodeError(f"invalid update flags byte {flags:#04x}")
     offset += 1
     value, offset = _decode_value(data, offset)
     ts, offset = decode_timestamp(data, order, offset)
@@ -266,7 +397,7 @@ def decode_update(
         register=register,
         value=value,
         timestamp=ts,
-        metadata_only=metadata_only,
+        metadata_only=flags == 1,
     )
 
 

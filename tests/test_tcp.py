@@ -478,3 +478,65 @@ class TestShutdown:
                 assert cluster.replica("b").store["x"] == "v49"
 
         drive(scenario())
+
+
+# ----------------------------------------------------------------------
+# Send-side fan-out: one encoding per distinct (update, order)
+# ----------------------------------------------------------------------
+class TestEncodeOnceFanOut:
+    #: ``x`` lives at all three replicas: a write at ``a`` reaches two.
+    FANOUT = {"a": {"x", "y"}, "b": {"x", "z"}, "c": {"x", "y", "z"}}
+
+    @pytest.mark.parametrize("policy,encodes", [("edge", 1), ("gst", 2)])
+    def test_write_encodes_once_per_distinct_update(
+        self, tmp_path, monkeypatch, policy, encodes
+    ):
+        from repro.core.engine import Send
+        from repro.tcp import runtime
+        from repro.wire.codec import encode_update
+
+        calls = []
+
+        def counting(update, order=None):
+            calls.append(update)
+            return encode_update(update, order)
+
+        monkeypatch.setattr(runtime, "encode_update", counting)
+
+        async def scenario():
+            config = TcpConfig(
+                heartbeat_interval=0.05, heartbeat_timeout=0.25, policy=policy
+            )
+            async with TcpCluster(
+                self.FANOUT, str(tmp_path), config=config
+            ) as cluster:
+                server = cluster.replica("a")
+                sends = []
+                emit = server.core._emit
+
+                def spy(eff):
+                    if eff.__class__ is Send:
+                        sends.append(eff)
+                    emit(eff)
+
+                server.core._emit = spy
+                for i in range(3):
+                    sends.clear()
+                    calls.clear()
+                    await server.write("x", f"v{i}")
+                    assert sorted(s.dst for s in sends) == ["b", "c"]
+                    ours = [
+                        u for u in calls if any(u is s.update for s in sends)
+                    ]
+                    assert len(ours) == encodes
+                    for s in sends:
+                        chanseq = s.update.timestamp[("a", s.dst)]
+                        # Byte-identical to encoding for each recipient.
+                        assert server._outbox[s.dst][chanseq] == encode_update(
+                            s.update, server._enc_orders[s.dst]
+                        )
+                await cluster.settle(timeout=15)
+                assert cluster.replica("b").store["x"] == "v2"
+                assert cluster.replica("c").store["x"] == "v2"
+
+        drive(scenario())

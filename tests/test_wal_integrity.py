@@ -12,6 +12,7 @@ resync, never to silent value loss or a crash loop.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import pytest
@@ -30,6 +31,7 @@ from repro.tcp.wal import (
     record_crc,
     recover_wal,
 )
+from repro.wire.codec import encode_value
 
 PLACEMENTS = {"a": {"x", "y"}, "b": {"x", "z"}, "c": {"y", "z"}}
 
@@ -146,6 +148,98 @@ class TestChecksums:
         # single corrupt line -> empty prefix is legal
         second = quarantine_wal(recovery)
         assert second != quarantine and os.path.exists(second)
+
+
+# ----------------------------------------------------------------------
+# Unit: single-pass records are byte-identical to two-pass ones
+# ----------------------------------------------------------------------
+def _two_pass_line(doc: dict) -> str:
+    """A record as the two-pass writer serialized it: CRC, then the line."""
+    return json.dumps(dict(doc, c=record_crc(doc)), sort_keys=True)
+
+
+#: (append method, arguments, the record doc it must write).
+_RECORDS = [
+    (
+        "append_issue",
+        ("x", "v1", 1.5),
+        {"k": "issue", "t": 1.5, "x": "x", "v": encode_value("v1").hex()},
+    ),
+    (
+        "append_issue",
+        ("r\u00e9g", 7, 1760000000.123456, 42),
+        {
+            "k": "issue",
+            "t": 1760000000.123456,
+            "x": "r\u00e9g",
+            "v": encode_value(7).hex(),
+            "q": 42,
+        },
+    ),
+    (
+        "append_issue",
+        ("y", None, 2.0, 1),
+        {
+            "k": "issue",
+            "t": 2.0,
+            "x": "y",
+            "v": encode_value(None).hex(),
+            "q": 1,
+        },
+    ),
+    (
+        "append_apply",
+        ("b", b"\x01\x02\xff", 3.25),
+        {"k": "apply", "t": 3.25, "s": "b", "u": "0102ff"},
+    ),
+]
+
+
+class TestSinglePassRecords:
+    def _write(self, path: str, buffered: bool) -> None:
+        wal = WriteAheadLog(path, buffered=buffered)
+        wal.open()
+        for method, args, _ in _RECORDS:
+            getattr(wal, method)(*args)
+        wal.close()
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_lines_equal_two_pass_serialization(self, tmp_path, buffered):
+        path = str(tmp_path / "r.wal")
+        self._write(path, buffered)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines == [_two_pass_line(doc) for _, _, doc in _RECORDS]
+
+    def test_no_record_key_sorts_before_the_checksum(self, tmp_path):
+        # The writer splices "c" in at the front of the sorted body; a
+        # record key sorting before "c" would make the line non-canonical
+        # and every checksum over it disagree with the reader's.
+        path = str(tmp_path / "r.wal")
+        self._write(path, buffered=False)
+        with open(path, encoding="utf-8") as fh:
+            for line in fh.read().splitlines():
+                doc = json.loads(line)
+                assert all(key > "c" for key in doc if key != "c"), doc
+                assert line == json.dumps(doc, sort_keys=True)
+
+    def test_logs_written_two_pass_still_read_and_recover(self, tmp_path):
+        path = str(tmp_path / "r.wal")
+        with open(path, "w", encoding="utf-8") as fh:
+            for _, _, doc in _RECORDS:
+                fh.write(_two_pass_line(doc) + "\n")
+        fresh = str(tmp_path / "fresh.wal")
+        self._write(fresh, buffered=False)
+        entries = list(read_wal(path))
+        assert entries == list(read_wal(fresh))
+        assert [e.kind for e in entries] == ["issue"] * 3 + ["apply"]
+        assert entries[1].seq == 42 and entries[0].seq is None
+        assert entries[3].update_bytes == b"\x01\x02\xff"
+        recovery = recover_wal(path)
+        assert recovery.clean and not recovery.torn_tail
+        assert recovery.entries == entries
+        with open(fresh, encoding="utf-8") as fh:
+            assert recovery.prefix_lines == fh.read().splitlines()
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import random
 
 from repro import EdgeIndexedPolicy, ShareGraph, Timestamp
+from repro.core.edge_index import EdgeIndex
 from repro.errors import ProtocolError, WireDecodeError
 from repro.types import Update, UpdateId
 from repro.wire import (
@@ -20,6 +21,7 @@ from repro.wire import (
     encode_uvarint,
     timestamp_wire_bytes,
 )
+from repro.wire import codec
 from repro.wire.codec import (
     canonical_edge_order,
     decode_state_snapshot,
@@ -308,3 +310,204 @@ def test_fuzz_mutated_batch_frames_never_crash_decoder():
             pass
         except ProtocolError:
             pass
+
+
+# ----------------------------------------------------------------------
+# Canonical flags byte
+# ----------------------------------------------------------------------
+def _flags_offset(update):
+    return len(encode_uvarint(update.uid.seq)) + len(
+        encode_value(str(update.register))
+    )
+
+
+@pytest.mark.parametrize("metadata_only", [False, True])
+def test_update_flags_byte_is_canonical(metadata_only):
+    ts = Timestamp({(1, 2): 4, (2, 1): 300})
+    order = canonical_edge_order(ts.index)
+    update = Update(
+        UpdateId(1, 9), "x", None, ts, metadata_only=metadata_only
+    )
+    encoded = encode_update(update, order)
+    at = _flags_offset(update)
+    assert encoded[at] == int(metadata_only)
+    for flags in range(256):
+        mutated = encoded[:at] + bytes([flags]) + encoded[at + 1 :]
+        if flags > 1:
+            with pytest.raises(WireDecodeError):
+                decode_update(mutated, 1, order)
+            continue
+        decoded = decode_update(mutated, 1, order)
+        assert decoded.metadata_only is (flags == 1)
+        # Bytes that decode re-encode identically (a WAL replay relies
+        # on it).
+        assert encode_update(decoded, order) == mutated
+
+
+def test_fuzz_decoded_updates_keep_their_flags_byte():
+    """Seeded fuzz: whatever decodes carried a 0/1 flags byte, and its
+    re-encoding decodes back to the same update."""
+    rng = random.Random(0xF1A6)
+    updates, order = _issue_updates(3)
+    blobs = [encode_update(u, order) for u in updates]
+    blobs.append(
+        encode_update(
+            Update(UpdateId(1, 4), "y", None, updates[-1].timestamp, True),
+            order,
+        )
+    )
+    for blob in blobs:
+        for _ in range(400):
+            mutated = _mutate(rng, blob)
+            try:
+                decoded = decode_update(mutated, 1, order)
+            except ProtocolError:
+                continue  # WireDecodeError is a ProtocolError
+            flags = mutated[_flags_offset(decoded)]
+            assert flags == int(decoded.metadata_only)
+            again = decode_update(encode_update(decoded, order), 1, order)
+            assert again == decoded
+
+
+# ----------------------------------------------------------------------
+# Compiled order plans: byte identity with a per-counter reference
+# ----------------------------------------------------------------------
+def _reference_timestamp(ts, order):
+    """The codec's wire form, one counter at a time."""
+    out = bytearray(encode_uvarint(len(order)))
+    for e in order:
+        value = ts.get(e)
+        if value is None:
+            raise ProtocolError(f"timestamp missing edge {e!r}")
+        out += encode_uvarint(value)
+    return bytes(out)
+
+
+def _reference_update(update, order):
+    return (
+        encode_uvarint(update.uid.seq)
+        + encode_value(str(update.register))
+        + bytes([1 if update.metadata_only else 0])
+        + encode_value(update.value)
+        + _reference_timestamp(update.timestamp, order)
+    )
+
+
+#: ``"a"``/``"a!"`` sort one way by ``str`` (the wire order) and the
+#: other by ``repr`` (the interned index order), forcing a permutation.
+_NAMES = ["a", "a!", "b", "b!", 1, 2, 10]
+_edges = st.lists(
+    st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)).filter(
+        lambda e: e[0] != e[1]
+    ),
+    min_size=1,
+    max_size=10,
+    unique=True,
+)
+#: Varint width boundaries (including the codec's lookup-table edge at
+#: 2**14) alongside the full 63-bit range.
+_counter = st.one_of(
+    st.sampled_from([0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**63 - 1]),
+    st.integers(min_value=0, max_value=2**63 - 1),
+)
+
+
+@st.composite
+def _plan_cases(draw):
+    edges = draw(_edges)
+    order = draw(
+        st.one_of(st.just(canonical_edge_order(edges)), st.permutations(edges))
+    )
+    extra = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["c", "d"]), st.sampled_from(_NAMES)),
+            max_size=3,
+            unique=True,
+        )
+    )
+    counters = {e: draw(_counter) for e in list(edges) + extra}
+    return tuple(order), Timestamp(counters), bool(extra)
+
+
+@given(_plan_cases())
+@settings(max_examples=150, deadline=None)
+def test_compiled_codec_matches_per_counter_reference(case):
+    order, ts, foreign = case
+    encoded = encode_timestamp(ts, order)
+    assert encoded == _reference_timestamp(ts, order)
+    decoded, offset = decode_timestamp(encoded, order)
+    assert offset == len(encoded)
+    assert decoded == Timestamp({e: ts[e] for e in order})
+    assert decoded.edge_index is EdgeIndex.of(order)
+    if not foreign:
+        assert decoded == ts
+        assert decoded.edge_index is ts.edge_index
+        assert encode_timestamp(ts) == _reference_timestamp(
+            ts, canonical_edge_order(ts.index)
+        )
+    update = Update(UpdateId(3, 2**40), "r!", "v", ts, metadata_only=foreign)
+    wire = encode_update(update, order)
+    assert wire == _reference_update(update, order)
+    assert decode_update(wire, 3, order).timestamp == decoded
+    batch = encode_update_batch([update, update], order)
+    member = encode_uvarint(len(wire)) + wire
+    assert batch == encode_uvarint(2) + member + member
+    assert decode_update_batch(batch, 3, order)[1].timestamp == decoded
+
+
+def test_compiled_plan_permutation_is_exercised():
+    edges = [("a", "b"), ("a!", "b"), ("b", "a"), ("b", "a!")]
+    order = canonical_edge_order(edges)
+    assert list(order) != list(EdgeIndex.of(edges).order)
+    ts = Timestamp({e: 200 * (i + 1) for i, e in enumerate(edges)})
+    encoded = encode_timestamp(ts, order)
+    assert encoded == _reference_timestamp(ts, order)
+    decoded, _ = decode_timestamp(encoded, order)
+    assert decoded == ts and decoded.edge_index is ts.edge_index
+
+
+def test_compiled_codec_missing_edge_raises_protocol_error():
+    ts = Timestamp({(1, 2): 5, (3, 1): 6})
+    with pytest.raises(ProtocolError):
+        encode_timestamp(ts, [(1, 2), (2, 1)])
+    update = Update(UpdateId(1, 1), "x", 1, ts)
+    with pytest.raises(ProtocolError):
+        encode_update(update, [(2, 1)])
+
+
+def test_compiled_codec_malformed_input_raises_typed_error():
+    ts = Timestamp({(1, 2): 2**63 - 1, (2, 1): 300, (3, 1): 0})
+    order = canonical_edge_order(ts.index)
+    encoded = encode_timestamp(ts, order)
+    for cut in range(len(encoded)):
+        with pytest.raises(WireDecodeError):
+            decode_timestamp(encoded[:cut], order)
+    # A counter whose continuation chain runs past 63 bits.
+    overlong = encode_uvarint(1) + b"\xff" * 10 + b"\x01"
+    with pytest.raises(WireDecodeError, match="too long"):
+        decode_timestamp(overlong, [(1, 2)])
+    # The count disagrees with the order.
+    with pytest.raises(WireDecodeError):
+        decode_timestamp(encode_uvarint(4) + encoded[1:], order)
+    update = Update(UpdateId(1, 1), "x", "v", ts)
+    wire = encode_update(update, order)
+    with pytest.raises(WireDecodeError):
+        decode_update(wire + b"\x00", 1, order)
+    for cut in range(len(wire)):
+        with pytest.raises(WireDecodeError):
+            decode_update(wire[:cut], 1, order)
+
+
+def test_fresh_order_objects_do_not_grow_the_plan_cache():
+    ts = Timestamp({(1, 2): 7, (2, 1): 300})
+    expected = encode_timestamp(ts)
+    for _ in range(3 * codec._PLAN_CACHE_MAX):
+        order = list(canonical_edge_order(ts.index))
+        assert encode_timestamp(ts, order) == expected
+        assert decode_timestamp(expected, order)[0] == ts
+    for k in range(3 * codec._PLAN_CACHE_MAX):
+        order = [(1, 2), (2, 1), (3, k)]  # distinct contents every time
+        with pytest.raises(ProtocolError):
+            encode_timestamp(ts, order)
+    assert len(codec._plans_by_id) <= codec._PLAN_CACHE_MAX
+    assert len(codec._plans) <= codec._PLAN_CACHE_MAX

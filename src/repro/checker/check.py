@@ -214,11 +214,11 @@ def check_history(
             if not visibility:
                 continue
             uid = event.uid
-            missing_mask = (
-                history.past_mask_of(uid)
-                & relevant.get(rep, 0)
-                & ~visible.get(rep, 0)
-            )
+            down = history.closure_mask_of(uid)
+            # ``down`` holds uid's own bit; it is in ``now_visible``, so
+            # only its causal past can be reported missing.
+            now_visible = visible.get(rep, 0) | history.bit_of(uid)
+            missing_mask = down & relevant.get(rep, 0) & ~now_visible
             if missing_mask and len(result.safety) < max_violations:
                 for missing_uid in _mask_updates(history, missing_mask):
                     result.safety.append(
@@ -226,12 +226,8 @@ def check_history(
                     )
                     if len(result.safety) >= max_violations:
                         break
-            visible[rep] = visible.get(rep, 0) | history.bit_of(uid)
-            visible_closure[rep] = (
-                visible_closure.get(rep, 0)
-                | history.bit_of(uid)
-                | history.past_mask_of(uid)
-            )
+            visible[rep] = now_visible
+            visible_closure[rep] = visible_closure.get(rep, 0) | down
             result.applies_checked += 1
             continue
         if event.kind == "access":
@@ -269,12 +265,10 @@ def check_history(
             client_mask[event.client] = mask | growth
             continue
         uid = event.uid
+        down = history.closure_mask_of(uid)
+        now_applied = applied.get(rep, 0) | history.bit_of(uid)
         if not visibility:
-            missing_mask = (
-                history.past_mask_of(uid)
-                & relevant.get(rep, 0)
-                & ~applied.get(rep, 0)
-            )
+            missing_mask = down & relevant.get(rep, 0) & ~now_applied
             if missing_mask and len(result.safety) < max_violations:
                 for missing_uid in _mask_updates(history, missing_mask):
                     result.safety.append(
@@ -283,10 +277,8 @@ def check_history(
                     if len(result.safety) >= max_violations:
                         break
             result.applies_checked += 1
-        applied[rep] = applied.get(rep, 0) | history.bit_of(uid)
-        closure[rep] = (
-            closure.get(rep, 0) | history.bit_of(uid) | history.past_mask_of(uid)
-        )
+        applied[rep] = now_applied
+        closure[rep] = closure.get(rep, 0) | down
 
     if require_liveness:
         for uid in history.all_updates():

@@ -13,6 +13,16 @@ The log therefore maintains, per replica, a running bitmask of applied
 updates; an update's causal past is the issuer's mask snapshotted at issue
 time.  Bitmasks (arbitrary-precision ints) make transitive queries O(1)
 after O(total applies) maintenance.
+
+Layout: each update gets a dense index in issue order when it is issued,
+and bit ``1 << index`` stands for it in every mask.  One
+``UpdateId -> index`` map holds the indexes, and the per-update state
+lives in lists indexed by them, so recording an apply hashes the update
+id once.  Each update stores a single mask, ``past | bit`` (the update
+together with its causal past), which is exactly what applying it adds
+to a replica's closure; ``bit_of`` and ``past_mask_of`` are derived from
+the index and that mask.  Events and update records are named tuples:
+immutable, and cheap to build at record time.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -32,8 +43,7 @@ from repro.errors import ProtocolError
 from repro.types import RegisterName, ReplicaId, UpdateId
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class UpdateRecord(NamedTuple):
     """Static facts about one update, fixed at issue time."""
 
     uid: UpdateId
@@ -61,8 +71,7 @@ class AccessToken:
     closure: int
 
 
-@dataclass(frozen=True)
-class HistoryEvent:
+class HistoryEvent(NamedTuple):
     """One issue/apply/access occurrence, in global log order.
 
     ``access`` events (client-server architecture, Definition 25) carry a
@@ -89,13 +98,14 @@ class History:
     def __init__(self) -> None:
         self.events: List[HistoryEvent] = []
         self.updates: Dict[UpdateId, UpdateRecord] = {}
-        self._bit: Dict[UpdateId, int] = {}
+        self._index: Dict[UpdateId, int] = {}
         self._uid_order: List[UpdateId] = []
-        self._past_mask: Dict[UpdateId, int] = {}
+        # Indexed by update index: past | bit, and the replicas applied at.
+        self._mask: List[int] = []
+        self._applied_at: List[Set[ReplicaId]] = []
+        self._visible_at: Dict[int, Set[ReplicaId]] = {}
         self._applied_mask: Dict[ReplicaId, int] = {}
         self._applied_bits: Dict[ReplicaId, int] = {}
-        self._applied_at: Dict[UpdateId, Set[ReplicaId]] = {}
-        self._visible_at: Dict[UpdateId, Set[ReplicaId]] = {}
         self._client_mask: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
@@ -117,27 +127,27 @@ class History:
         everything the client picked up at previously accessed replicas
         (Definition 25, condition (ii)).
         """
-        if uid in self.updates:
+        if uid in self._index:
             raise ProtocolError(f"update {uid} issued twice")
         if uid.issuer != replica:
             raise ProtocolError(
                 f"update {uid} issued at {replica!r} but names issuer {uid.issuer!r}"
             )
         index = len(self._uid_order)
+        self._index[uid] = index
         self._uid_order.append(uid)
-        self._bit[uid] = 1 << index
         self.updates[uid] = UpdateRecord(uid, register, time, metadata_only)
-        mask = self._applied_mask.get(replica, 0)
+        past = self._applied_mask.get(replica, 0)
         if client is not None:
-            mask |= self._client_mask.get(client, 0)
-        self._past_mask[uid] = mask
-        self._append(
-            HistoryEvent(
-                "issue", replica, uid, time, len(self.events), client=client
-            )
+            past |= self._client_mask.get(client, 0)
+        self._mask.append(past | 1 << index)
+        self._applied_at.append(set())
+        events = self.events
+        events.append(
+            HistoryEvent("issue", replica, uid, time, len(events), client)
         )
         # Issuing applies the update at the issuer (prototype step 2).
-        self._mark_applied(replica, uid)
+        self._mark_applied(replica, index)
 
     def access_token(self, replica: ReplicaId) -> AccessToken:
         """Snapshot *replica*'s state for a deferred client-access record.
@@ -167,11 +177,9 @@ class History:
         the replica's serve-time snapshot rather than its current state
         (the response travelled; the replica may have moved on).
         """
-        self._append(
-            HistoryEvent(
-                "access", replica, None, time, len(self.events),
-                client=client, token=token,
-            )
+        events = self.events
+        events.append(
+            HistoryEvent("access", replica, None, time, len(events), client, token)
         )
         growth = (
             token.closure
@@ -186,12 +194,14 @@ class History:
 
     def record_apply(self, replica: ReplicaId, uid: UpdateId, time: float) -> None:
         """Record replica *replica* applying a remote update ``uid``."""
-        if uid not in self.updates:
+        index = self._index.get(uid)
+        if index is None:
             raise ProtocolError(f"update {uid} applied before being issued")
-        if replica in self._applied_at.get(uid, ()):  # pragma: no cover - guard
+        if replica in self._applied_at[index]:  # pragma: no cover - guard
             raise ProtocolError(f"update {uid} applied twice at {replica!r}")
-        self._append(HistoryEvent("apply", replica, uid, time, len(self.events)))
-        self._mark_applied(replica, uid)
+        events = self.events
+        events.append(HistoryEvent("apply", replica, uid, time, len(events)))
+        self._mark_applied(replica, index)
 
     def record_visible(
         self, replica: ReplicaId, uid: UpdateId, time: float
@@ -205,36 +215,37 @@ class History:
         but the checker's visibility mode verifies Definition 2 safety at
         these events instead of the applies.
         """
-        if uid not in self.updates:
+        index = self._index.get(uid)
+        if index is None:
             raise ProtocolError(f"update {uid} visible before being issued")
-        if replica not in self._applied_at.get(uid, ()):
+        if replica not in self._applied_at[index]:
             raise ProtocolError(
                 f"update {uid} visible at {replica!r} before being applied"
             )
-        if replica in self._visible_at.get(uid, ()):  # pragma: no cover - guard
+        visible = self._visible_at.setdefault(index, set())
+        if replica in visible:  # pragma: no cover - guard
             raise ProtocolError(f"update {uid} visible twice at {replica!r}")
-        self._append(
-            HistoryEvent("visible", replica, uid, time, len(self.events))
+        events = self.events
+        events.append(HistoryEvent("visible", replica, uid, time, len(events)))
+        visible.add(replica)
+
+    def _mark_applied(self, replica: ReplicaId, index: int) -> None:
+        self._applied_mask[replica] = (
+            self._applied_mask.get(replica, 0) | self._mask[index]
         )
-        self._visible_at.setdefault(uid, set()).add(replica)
-
-    def _append(self, event: HistoryEvent) -> None:
-        self.events.append(event)
-
-    def _mark_applied(self, replica: ReplicaId, uid: UpdateId) -> None:
-        grow = self._past_mask[uid] | self._bit[uid]
-        self._applied_mask[replica] = self._applied_mask.get(replica, 0) | grow
         self._applied_bits[replica] = (
-            self._applied_bits.get(replica, 0) | self._bit[uid]
+            self._applied_bits.get(replica, 0) | 1 << index
         )
-        self._applied_at.setdefault(uid, set()).add(replica)
+        self._applied_at[index].add(replica)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def happened_before(self, u1: UpdateId, u2: UpdateId) -> bool:
         """``u1 -> u2`` per Definition 1."""
-        return bool(self._bit[u1] & self._past_mask[u2])
+        i1 = self._index[u1]
+        i2 = self._index[u2]
+        return i1 != i2 and bool(self._mask[i2] >> i1 & 1)
 
     def concurrent(self, u1: UpdateId, u2: UpdateId) -> bool:
         """Neither ``u1 -> u2`` nor ``u2 -> u1`` (and u1 != u2)."""
@@ -246,7 +257,7 @@ class History:
 
     def causal_past(self, uid: UpdateId) -> FrozenSet[UpdateId]:
         """All updates that happened-before ``uid``."""
-        return self._mask_to_set(self._past_mask[uid])
+        return self._mask_to_set(self.past_mask_of(uid))
 
     def replica_causal_past(self, replica: ReplicaId) -> FrozenSet[UpdateId]:
         """Set ``S`` of Definition 6 for the replica's current state.
@@ -272,11 +283,13 @@ class History:
 
     def applied_at(self, uid: UpdateId) -> FrozenSet[ReplicaId]:
         """Replicas that have applied ``uid`` so far (issuer included)."""
-        return frozenset(self._applied_at.get(uid, ()))
+        index = self._index.get(uid)
+        return frozenset(() if index is None else self._applied_at[index])
 
     def visible_at(self, uid: UpdateId) -> FrozenSet[ReplicaId]:
         """Replicas at which ``uid`` has become readable (GST cut)."""
-        return frozenset(self._visible_at.get(uid, ()))
+        index = self._index.get(uid)
+        return frozenset(self._visible_at.get(index, ()))
 
     def all_updates(self) -> Tuple[UpdateId, ...]:
         """Every issued update, in issue order."""
@@ -292,11 +305,16 @@ class History:
 
     def bit_of(self, uid: UpdateId) -> int:
         """Internal bit for ``uid`` (exposed for the checker's fast path)."""
-        return self._bit[uid]
+        return 1 << self._index[uid]
 
     def past_mask_of(self, uid: UpdateId) -> int:
         """Bitmask of ``uid``'s causal past (checker fast path)."""
-        return self._past_mask[uid]
+        index = self._index[uid]
+        return self._mask[index] ^ 1 << index
+
+    def closure_mask_of(self, uid: UpdateId) -> int:
+        """``bit_of(uid) | past_mask_of(uid)``, stored (checker fast path)."""
+        return self._mask[self._index[uid]]
 
     def _mask_to_set(self, mask: int) -> FrozenSet[UpdateId]:
         out = []

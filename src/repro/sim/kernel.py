@@ -5,28 +5,45 @@ callbacks.  Ties on the clock are broken by a monotonically increasing
 sequence number, which makes execution order fully deterministic for a
 given schedule -- an essential property for the causal-consistency
 experiments, which must be replayable from a seed.
+
+The agenda holds ``(time, seq, event)`` tuples, so ``heapq`` orders it
+with C tuple comparisons; ``seq`` is unique, so the comparison never
+reaches the :class:`Event` itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_INF = float("inf")
 
-@dataclass(order=True)
+
 class Event:
-    """A scheduled callback.  Ordered by ``(time, seq)``."""
+    """A scheduled callback, executed in ``(time, seq)`` order."""
 
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "done")
+
+    def __init__(
+        self, time: float, seq: int, callback: Callable[..., None], args: tuple = ()
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.done = False
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, seq={self.seq!r}, "
+            f"callback={self.callback!r}, cancelled={self.cancelled!r})"
+        )
 
 
 class EventHandle:
@@ -34,6 +51,8 @@ class EventHandle:
 
     Allows a pending event to be cancelled without disturbing the heap.
     """
+
+    __slots__ = ("_event", "_simulator")
 
     def __init__(self, event: Event, simulator: "Simulator") -> None:
         self._event = event
@@ -73,7 +92,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
-        self._agenda: List[Event] = []
+        self._agenda: List[Tuple[float, int, Event]] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._events_executed: int = 0
@@ -106,23 +125,34 @@ class Simulator:
         self._cancelled_pending += 1
         # Lazy purge: cancelled events normally pop off the heap for free,
         # but if they pile up (mass link-down cancellations) rebuild once.
+        agenda = self._agenda
         if (
             self._cancelled_pending >= self._COMPACT_MIN
-            and self._cancelled_pending * 2 > len(self._agenda)
+            and self._cancelled_pending * 2 > len(agenda)
         ):
-            self._agenda = [e for e in self._agenda if not e.cancelled]
-            heapq.heapify(self._agenda)
+            # In place: run() holds a reference to the list.
+            agenda[:] = [entry for entry in agenda if not entry[2].cancelled]
+            heapq.heapify(agenda)
             self._cancelled_pending = 0
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._agenda, event)
+        """Schedule ``callback(*args)`` to run ``delay`` time units from now.
+
+        ``delay`` must be finite and non-negative: a NaN would compare
+        false against every heap entry and run out of order, an infinite
+        one would move the clock to infinity.
+        """
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"delay must be finite and non-negative (delay={delay})"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        time = self._now + delay
+        event = Event(time, seq, callback, args)
+        _heappush(self._agenda, (time, seq, event))
         self._live += 1
         return EventHandle(event, self)
 
@@ -134,14 +164,15 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the agenda is empty."""
-        while self._agenda:
-            event = heapq.heappop(self._agenda)
+        agenda = self._agenda
+        while agenda:
+            time, _, event = _heappop(agenda)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue
             event.done = True
             self._live -= 1
-            self._now = event.time
+            self._now = time
             self._events_executed += 1
             event.callback(*event.args)
             return True
@@ -166,20 +197,22 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        agenda = self._agenda
+        step = self.step
         executed = 0
         try:
-            while self._agenda:
+            while agenda:
                 if max_events is not None and executed >= max_events:
                     return
-                head = self._agenda[0]
-                if head.cancelled:
-                    heapq.heappop(self._agenda)
+                time, _, event = agenda[0]
+                if event.cancelled:
+                    _heappop(agenda)
                     self._cancelled_pending -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     return
-                if self.step():
-                    executed += 1
+                step()
+                executed += 1
         finally:
             self._running = False
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -54,6 +56,37 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(-0.1, lambda: None)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+def test_non_finite_delay_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(delay, lambda: None)
+    assert sim.pending_events == 0 and sim.drained()
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_non_finite_absolute_time_rejected(time):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(time, lambda: None)
+    assert sim.pending_events == 0 and sim.drained()
+
+
+def test_nan_delay_cannot_send_the_clock_backwards():
+    """A NaN compares false against every heap entry; accepted, it used
+    to run out of order and move the clock from 4 back to 2."""
+    sim = Simulator()
+    times = []
+    for delay in (5.0, math.nan, 1.0, 3.0, 2.0, 4.0):
+        try:
+            sim.schedule(delay, lambda: times.append(sim.now))
+        except SimulationError:
+            assert math.isnan(delay)
+    sim.run()
+    assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 5.0
 
 
 def test_run_until_stops_before_later_events():

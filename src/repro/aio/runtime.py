@@ -18,31 +18,18 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.core.causality import History
-from repro.core.engine import (
-    Applied,
-    BatchAccumulator,
-    Effect,
-    ProtocolCore,
-    QueueStats,
-    RecordHistory,
-    ReplicaMetrics,
-    Send,
-    SendBatch,
-    SendStabilize,
-    StabilizeFrame,
-    UpdateBatch,
-)
+from repro.core.host import CoreHost
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, Timestamp, TimestampPolicy
+from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import RegisterName, ReplicaId, Update, UpdateId
 
 
-class AioReplica:
+class AioReplica(CoreHost):
     """One replica task: the shared protocol core behind an asyncio inbox."""
 
     def __init__(
@@ -52,116 +39,34 @@ class AioReplica:
         policy: TimestampPolicy,
         system: "AioDSMSystem",
     ) -> None:
-        self.replica_id = replica_id
-        self.graph = graph
-        self.policy = policy
         self.system = system
-        self.core = ProtocolCore(
+        self.inbox: "asyncio.Queue[Tuple[ReplicaId, Any]]" = asyncio.Queue()
+        # Send-side batching coalesces per destination for the system's
+        # flush window in loop seconds.
+        super().__init__(
             replica_id,
             graph,
             policy,
-            self._on_effect,
+            system.history,
             clock=system.clock,
-            record_history=True,
+            batch_window=system.batch_window,
+            batch_max=system.batch_max,
             size_wire=False,
         )
-        self.inbox: "asyncio.Queue[Tuple[ReplicaId, Any]]" = asyncio.Queue()
-        self._on_apply = None
-        # Send-side batching: coalesce per destination for the system's
-        # flush window (loop seconds); 0 disables it.
-        self._batcher = (
-            BatchAccumulator(system.batch_max)
-            if system.batch_window > 0
-            else None
-        )
-        self._flush_handle: Any = None
 
-    # -- effect dispatch -------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            if self._batcher is not None:
-                frame = self._batcher.add(eff.dst, eff.update)
-                if frame is not None:
-                    self._post_frame(frame)
-                if self._batcher.pending and self._flush_handle is None:
-                    loop = asyncio.get_running_loop()
-                    self._flush_handle = loop.call_later(
-                        self.system.batch_window, self._flush_batches
-                    )
-                return
-            self.system.post(self.replica_id, eff.dst, eff.update)
-        elif cls is Applied:
-            if self._on_apply is not None:
-                self._on_apply(self, eff.src, eff.update)
-        elif cls is RecordHistory:
-            if eff.kind == "apply":
-                self.system.history.record_apply(
-                    self.replica_id, eff.uid, eff.time
-                )
-            elif eff.kind == "visible":
-                self.system.history.record_visible(
-                    self.replica_id, eff.uid, eff.time
-                )
-            else:
-                self.system.history.record_issue(
-                    self.replica_id, eff.uid, eff.register, eff.time
-                )
-        elif cls is SendStabilize:
-            # Stabilize frames bypass the batcher: the cut should advance
-            # promptly, and frames are tiny.
-            self.system.post(self.replica_id, eff.dst, eff.frame)
-        else:  # pragma: no cover - no other effects are enabled
-            raise ProtocolError(f"unexpected effect {eff!r}")
+    # -- transport -------------------------------------------------------
+    def _send(
+        self, dst: ReplicaId, payload: Any, counters: int, wire_bytes: int
+    ) -> None:
+        self.system.post(self.replica_id, dst, payload)
 
-    # -- send-side batching ----------------------------------------------
-    def _post_frame(self, frame: SendBatch) -> None:
-        self.system.post(
-            self.replica_id, frame.dst, UpdateBatch(frame.updates)
-        )
-
-    def _flush_batches(self) -> None:
-        self._flush_handle = None
-        if self._batcher is None:
-            return
-        for frame in self._batcher.flush():
-            self._post_frame(frame)
-
-    @property
-    def outbox_pending(self) -> int:
-        """Updates buffered in the send-side batcher (0 when batching is off)."""
-        return 0 if self._batcher is None else self._batcher.pending
-
-    # -- core state views ------------------------------------------------
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self.core.store
-
-    @property
-    def timestamp(self) -> Timestamp:
-        return self.core.timestamp
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        asyncio.get_running_loop().call_later(delay, fn)
 
     @property
     def pending(self) -> List[Tuple[ReplicaId, Update]]:
         """Buffered updates as ``(sender, update)`` in arrival order."""
         return [(src, update) for src, update, _ in self.core.pending]
-
-    @property
-    def metrics(self) -> ReplicaMetrics:
-        return self.core.metrics
-
-    def queue_stats(self) -> QueueStats:
-        return self.core.queue_stats()
-
-    @property
-    def on_apply(self):
-        """Post-apply hook ``(replica, src, update)``, as in the simulator."""
-        return self._on_apply
-
-    @on_apply.setter
-    def on_apply(self, hook) -> None:
-        self._on_apply = hook
-        self.core.emit_applied = hook is not None
 
     # -- client operations ---------------------------------------------
     def read(self, register: RegisterName) -> Any:
@@ -170,33 +75,12 @@ class AioReplica:
     async def write(self, register: RegisterName, value: Any) -> UpdateId:
         return self.core.local_write(register, value)
 
-    # -- global stabilization (repro.gst) --------------------------------
-    def stabilize(self) -> None:
-        """One stabilization round (no-op for non-stabilizing policies)."""
-        self.core.stabilize()
-
-    @property
-    def stabilizing(self) -> bool:
-        return self.core.visible_store is not None
-
-    @property
-    def unstable_count(self) -> int:
-        return self.core.unstable_count
-
     # -- update delivery -------------------------------------------------
     async def run(self) -> None:
         """Consume the inbox forever (cancelled by the system)."""
         while True:
             src, message = await self.inbox.get()
-            if isinstance(message, StabilizeFrame):
-                self.core.receive_stabilize(src, message)
-                self.system.events_processed += 1
-            elif isinstance(message, UpdateBatch):
-                self.core.remote_batch(src, message.updates)
-                self.system.events_processed += len(message.updates)
-            else:
-                self.core.remote_update(src, message)
-                self.system.events_processed += 1
+            self.system.events_processed += self._receive(src, message)
             self.system.note_progress()
 
 

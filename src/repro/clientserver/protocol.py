@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -44,19 +45,8 @@ from repro.clientserver.augmented import (
     all_augmented_timestamp_graphs,
 )
 from repro.core.causality import AccessToken, History
-from repro.core.engine import (
-    BatchAccumulator,
-    Effect,
-    ProtocolCore,
-    QueueStats,
-    RecordHistory,
-    ReplicaMetrics,
-    Send,
-    SendBatch,
-    SendStabilize,
-    StabilizeFrame,
-    UpdateBatch,
-)
+from repro.core.engine import ReplicaMetrics
+from repro.core.host import CoreHost
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import EdgeIndexedPolicy, Timestamp
 from repro.errors import (
@@ -169,7 +159,7 @@ class AugmentedServerPolicy(EdgeIndexedPolicy):
         return Timestamp(counters)
 
 
-class CSReplica:
+class CSReplica(CoreHost):
     """A server replica: the shared protocol core plus a session layer.
 
     Inter-replica updates flow straight into the engine (``J3`` delivery
@@ -190,26 +180,18 @@ class CSReplica:
         batch_window: float = 0.0,
         batch_max: int = 64,
     ) -> None:
-        self.replica_id = replica_id
-        self.graph = graph
         self.edges = frozenset(edges)
         self._peer_edges = dict(peer_edges)
         self.network = network
-        self.history = history
-        self.policy = AugmentedServerPolicy(graph, replica_id, edges=edges)
-        self._batch_window = batch_window
-        self._batcher: Optional[BatchAccumulator] = (
-            BatchAccumulator(batch_max) if batch_window > 0 else None
-        )
-        self._flush_scheduled = False
         simulator = network.simulator
-        self._core = ProtocolCore(
+        super().__init__(
             replica_id,
             graph,
-            self.policy,
-            self._on_effect,
+            AugmentedServerPolicy(graph, replica_id, edges=edges),
+            history,
             clock=lambda: simulator.now,
-            record_history=history is not None,
+            batch_window=batch_window,
+            batch_max=batch_max,
             size_wire=False,
         )
         self.buffered_requests: List[Tuple[ClientId, Any]] = []
@@ -224,114 +206,30 @@ class CSReplica:
         )
         network.register(replica_id, self.on_message)
 
-    # -- engine adapter --------------------------------------------------
-    def _on_effect(self, eff: Effect) -> None:
-        cls = eff.__class__
-        if cls is Send:
-            if self._batcher is not None:
-                frame = self._batcher.add(
-                    eff.dst, eff.update, eff.metadata_counters, 0
-                )
-                if frame is not None:
-                    self._send_frame(frame)
-                if self._batcher.pending and not self._flush_scheduled:
-                    self._flush_scheduled = True
-                    self.network.simulator.schedule(
-                        self._batch_window, self._flush_batches
-                    )
-                return
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.update,
-                metadata_counters=eff.metadata_counters,
-            )
-        elif cls is RecordHistory:
-            assert self.history is not None
-            if eff.kind == "apply":
-                self.history.record_apply(self.replica_id, eff.uid, eff.time)
-            elif eff.kind == "visible":
-                self.history.record_visible(self.replica_id, eff.uid, eff.time)
-            else:
-                self.history.record_issue(
-                    self.replica_id,
-                    eff.uid,
-                    eff.register,
-                    eff.time,
-                    client=eff.client,
-                )
-        elif cls is SendStabilize:
-            self.network.send(
-                self.replica_id,
-                eff.dst,
-                eff.frame,
-                metadata_counters=len(eff.frame.entries) + 2,
-            )
-        else:  # pragma: no cover - no other effects are enabled
-            raise ProtocolError(f"unexpected effect {eff!r}")
-
-    # -- send-side batching ----------------------------------------------
-    def _send_frame(self, frame: SendBatch) -> None:
+    # -- transport (the simulated network) -------------------------------
+    def _send(
+        self, dst: ReplicaId, payload: Any, counters: int, wire_bytes: int
+    ) -> None:
         self.network.send(
             self.replica_id,
-            frame.dst,
-            UpdateBatch(frame.updates),
-            metadata_counters=frame.metadata_counters,
+            dst,
+            payload,
+            metadata_counters=counters,
+            wire_bytes=wire_bytes,
         )
 
-    def _flush_batches(self) -> None:
-        self._flush_scheduled = False
-        if self._batcher is None:
-            return
-        for frame in self._batcher.flush():
-            self._send_frame(frame)
-
-    @property
-    def outbox_pending(self) -> int:
-        """Updates buffered in the send-side batcher (0 when batching is off)."""
-        return 0 if self._batcher is None else self._batcher.pending
-
-    @property
-    def store(self) -> Dict[RegisterName, Any]:
-        return self._core.store
-
-    @property
-    def timestamp(self) -> Timestamp:
-        return self._core.timestamp
+    def _call_later(self, delay: float, fn: Callable[[], None]) -> None:
+        self.network.simulator.schedule(delay, fn)
 
     @property
     def pending_updates(self) -> List[Tuple[ReplicaId, Update]]:
         """Buffered inter-replica updates as ``(sender, update)`` pairs."""
-        return [(src, update) for src, update, _ in self._core.pending]
-
-    @property
-    def _seq(self) -> int:
-        return self._core.seq
-
-    @property
-    def metrics(self) -> ReplicaMetrics:
-        return self._core.metrics
-
-    def queue_stats(self) -> QueueStats:
-        return self._core.queue_stats()
-
-    # -- global stabilization (repro.gst plumbing) -----------------------
-    def stabilize(self) -> None:
-        """One stabilization round (no-op under non-stabilizing policies)."""
-        self._core.stabilize()
-
-    @property
-    def stabilizing(self) -> bool:
-        return self._core.visible_store is not None
-
-    @property
-    def unstable_count(self) -> int:
-        return self._core.unstable_count
+        return [(src, update) for src, update, _ in self.core.pending]
 
     # -- session predicate (Appendix E.5) --------------------------------
     def _session_ready(self, mu: Timestamp) -> bool:
         """``J1 = J2``: the replica has caught up with the client."""
-        ts = self._core.timestamp
+        ts = self.core.timestamp
         for e in self._incoming:
             client_val = mu.get(e)
             if client_val is not None and ts[e] < client_val:
@@ -340,16 +238,10 @@ class CSReplica:
 
     # -- message handling ----------------------------------------------
     def on_message(self, src: ReplicaId, message: Any) -> None:
-        if isinstance(message, Update):
-            self._core.remote_update(src, message)
-        elif isinstance(message, UpdateBatch):
-            self._core.remote_batch(src, message.updates)
-        elif isinstance(message, StabilizeFrame):
-            self._core.receive_stabilize(src, message)
-        elif isinstance(message, (ReadRequest, WriteRequest)):
+        if isinstance(message, (ReadRequest, WriteRequest)):
             self.buffered_requests.append((src, message))
-        else:  # pragma: no cover - wiring guard
-            raise ProtocolError(f"unexpected message {message!r}")
+        else:
+            self._receive(src, message)
         self._pump()
 
     def _pump(self) -> None:
@@ -370,7 +262,7 @@ class CSReplica:
                     progress = True
                     break
             if progress:
-                self._core.tick()
+                self.core.tick()
 
     def _serve(self, client: ClientId, request: Any) -> None:
         served = self._served.get(client)
@@ -388,8 +280,8 @@ class CSReplica:
         if isinstance(request, ReadRequest):
             response: Any = ReadResponse(
                 request.register,
-                self._core.read(request.register),
-                self._core.timestamp,
+                self.core.read(request.register),
+                self.core.timestamp,
                 request_id=request.request_id,
                 access_token=self._token(),
             )
@@ -399,7 +291,7 @@ class CSReplica:
         # WriteRequest: the engine stamps, stores, records, and multicasts;
         # the mu floor rides in as this write's advance override.
         mu = request.timestamp
-        uid = self._core.local_write(
+        uid = self.core.local_write(
             request.register,
             request.value,
             advance=lambda ts, reg: self.policy.advance_with_floor(
@@ -408,7 +300,7 @@ class CSReplica:
             client=client,
         )
         response = WriteResponse(
-            request.register, uid, self._core.timestamp,
+            request.register, uid, self.core.timestamp,
             request_id=request.request_id,
             access_token=self._token(),
         )
@@ -431,7 +323,7 @@ class CSReplica:
     def __repr__(self) -> str:
         return (
             f"CSReplica({self.replica_id!r}, "
-            f"pending={self._core.pending_count}, "
+            f"pending={self.core.pending_count}, "
             f"buffered={len(self.buffered_requests)})"
         )
 
@@ -789,26 +681,10 @@ class ClientServerSystem:
         """Liveness clause 2 of Definition 26: every request returned."""
         return all(c.done for c in self.clients.values())
 
-    # -- global stabilization (repro.gst plumbing) -----------------------
-    @property
-    def stabilizing(self) -> bool:
-        return any(r.stabilizing for r in self.replicas.values())
-
-    def stabilize_all(self) -> None:
-        """One cluster-wide stabilization round (frames deliver on run)."""
-        for replica in self.replicas.values():
-            replica.stabilize()
-
-    def schedule_stabilize(self, time: float) -> None:
-        """Schedule a cluster-wide stabilization round at ``time``."""
-        self.simulator.schedule_at(time, self.stabilize_all)
-
-    def check(self, require_liveness: bool = True, visibility=None):
+    def check(self, require_liveness: bool = True, visibility: bool = False):
         """Verify Definition 26 (including session safety)."""
         from repro.checker import check_history
 
-        if visibility is None:
-            visibility = self.stabilizing
         return check_history(
             self.history,
             self.graph,

@@ -8,6 +8,8 @@
 * :mod:`repro.core.timestamp` -- the edge-indexed vector timestamp algorithm
   of Section 3.3 (advance / merge / predicate J) behind a pluggable
   *timestamp policy* interface, mirroring the paper's "family of algorithms".
+* :mod:`repro.core.host` -- the effect-dispatch host the simulator,
+  asyncio and client-server runtimes share.
 * :mod:`repro.core.replica` -- the replica prototype of Section 2.1.
 * :mod:`repro.core.system` -- peer-to-peer DSM wiring and the client API.
 * :mod:`repro.core.causality` -- happened-before (Definition 1), causal

@@ -12,8 +12,12 @@ the adapter supplies.
 The simulator (:class:`repro.core.replica.Replica`), asyncio
 (:class:`repro.aio.runtime.AioReplica`), and client-server
 (:class:`repro.clientserver.protocol.CSReplica`) runtimes are thin
-adapters over this one engine; they translate effects into their own
-transports and never reimplement delivery.
+adapters over this one engine.  They share one effect-dispatch host,
+:class:`repro.core.host.CoreHost`, which carries out the effects and
+batches sends; each adapter supplies only its transport and clock.  The
+TCP runtime (:class:`repro.tcp.runtime.TcpReplicaServer`) dispatches
+effects itself, through its write-ahead log.  No runtime reimplements
+delivery.
 """
 
 from repro.core.engine.batching import BatchAccumulator, UpdateBatch

@@ -16,9 +16,10 @@ flush window (virtual time in the simulator, loop time under asyncio,
   either eagerly when a destination reaches ``max_updates`` or when the
   adapter's flush window closes.
 
-The accumulator never owns a timer: the adapter decides *when* to call
-:meth:`BatchAccumulator.flush`, which is what keeps this module pure and
-the flush-window semantics per-runtime.
+The accumulator never owns a timer: its owner (the in-process runtimes'
+:class:`repro.core.host.CoreHost`, or the TCP runtime) decides *when* to
+call :meth:`BatchAccumulator.flush`, which is what keeps this module pure
+and the flush-window semantics per-runtime.
 """
 
 from __future__ import annotations

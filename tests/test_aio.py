@@ -120,3 +120,26 @@ def test_history_matches_simulator_semantics():
         assert system.check().ok
 
     run(scenario())
+
+
+def test_gst_visibility_settles():
+    """Stabilize frames travel the asyncio transport and advance the cut."""
+    from repro.core.policy_registry import policy_entry
+
+    async def scenario():
+        system = AioDSMSystem(
+            fig5_placements(),
+            policy_factory=policy_entry("gst").factory,
+            seed=5,
+        )
+        async with system:
+            for n in range(20):
+                await system.replica(2).write("y", n)
+            await system.settle_visibility()
+            assert system.replica(1).read("y") == 19
+            assert system.replica(4).read("y") == 19
+            assert all(r.unstable_count == 0 for r in system.replicas.values())
+        result = system.check(visibility=True)
+        assert result.ok, str(result)
+
+    run(scenario())

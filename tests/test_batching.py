@@ -39,6 +39,7 @@ from repro.types import Update, UpdateId
 from repro.workloads import (
     fig5_placements,
     random_placements,
+    ring_placements,
     run_workload,
     uniform_writes,
 )
@@ -302,6 +303,23 @@ class TestSimulatedSystems:
                 batch_window=1.0,
                 fault_plan=FaultPlan(),
             )
+
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -1.0])
+    @pytest.mark.parametrize("runtime", ["sim", "clientserver", "aio"])
+    def test_bad_batch_window_rejected_at_construction(self, runtime, window):
+        # An infinite window used to strand the first write in the
+        # batcher; nan and negative windows silently disabled batching.
+        from repro.aio import AioDSMSystem
+
+        with pytest.raises(ConfigurationError, match="batch_window"):
+            if runtime == "sim":
+                DSMSystem(ring_placements(4), batch_window=window)
+            elif runtime == "clientserver":
+                ClientServerSystem(
+                    {1: {"x"}, 2: {"x"}}, {"c": {1}}, batch_window=window
+                )
+            else:
+                AioDSMSystem(ring_placements(4), batch_window=window)
 
     def test_clientserver_batched_run_checks(self):
         system = ClientServerSystem(

@@ -22,9 +22,9 @@ from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from repro.core.causality import History
 from repro.core.host import CoreHost
+from repro.core.policy_registry import build_policies
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
+from repro.core.timestamp import TimestampPolicy
 from repro.errors import ConfigurationError, ProtocolError
 from repro.types import RegisterName, ReplicaId, Update, UpdateId
 
@@ -148,26 +148,11 @@ class AioDSMSystem:
         self.rng = random.Random(seed)
         self.history = History()
         self._start = None  # set on __aenter__
-        if policy_factory is None:
-            graphs = all_timestamp_graphs(self.graph)
-            if vectorized:
-                from repro.optimizations.vectorized import (
-                    VectorizedEdgeIndexedPolicy,
-                )
-
-                def policy_factory(graph: ShareGraph, rid: ReplicaId):
-                    return VectorizedEdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-            else:
-
-                def policy_factory(graph: ShareGraph, rid: ReplicaId):
-                    return EdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-
+        policies = build_policies(
+            self.graph, policy_factory, vectorized=vectorized
+        )
         self.replicas: Dict[ReplicaId, AioReplica] = {
-            rid: AioReplica(rid, self.graph, policy_factory(self.graph, rid), self)
+            rid: AioReplica(rid, self.graph, policies[rid], self)
             for rid in self.graph.replicas
         }
         self._tasks: List[asyncio.Task] = []

@@ -17,12 +17,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import Timestamp
+from repro.core.timestamp import Timestamp, TimestampPolicy
 from repro.errors import ConfigurationError
 from repro.types import RegisterName, ReplicaId
 
 
-class VectorClockPolicy:
+class VectorClockPolicy(TimestampPolicy):
     """Replica-indexed vector timestamps for fully replicated systems.
 
     The timestamp's keys are replica ids rather than edges; the delivery
@@ -85,7 +85,6 @@ class VectorClockPolicy:
 
     # Policy-layer identification (see repro.core.policy_registry).
     policy_tag = "vc"
-    stabilizing = False
 
     def sender_seq(self, sender: ReplicaId, sender_ts: Timestamp):
         return sender_ts.get(sender)

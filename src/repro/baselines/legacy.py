@@ -6,8 +6,8 @@ re-derives the bump set from the share graph on every write, ``merge``
 walks every edge of ``E_i`` through tolerant ``get`` reads, and ``J``
 re-resolves the sender edge each call.  It exercises none of the
 precomputed position plans of :class:`~repro.core.timestamp.EdgeIndexedPolicy`
-and exposes no :meth:`readiness_deps` hint, so a replica running it also
-falls back to the conservative wake-everything delivery path.
+and overrides none of the engine hooks, so a replica running it gets the
+base class defaults: wake-everything delivery and linear queue scans.
 
 The differential tests drive the same seeded trace through both policies
 and assert byte-identical histories, timestamps, and checker verdicts --
@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import Timestamp
+from repro.core.timestamp import Timestamp, TimestampPolicy
 from repro.core.timestamp_graph import timestamp_graph
 from repro.errors import ConfigurationError
 from repro.types import Edge, RegisterName, ReplicaId
 
 
-class LegacyEdgeIndexedPolicy:
+class LegacyEdgeIndexedPolicy(TimestampPolicy):
     """The paper's algorithm via the original per-call dictionary walks."""
 
     def __init__(

@@ -20,7 +20,11 @@ effects itself, through its write-ahead log.  No runtime reimplements
 delivery.
 """
 
-from repro.core.engine.batching import BatchAccumulator, UpdateBatch
+from repro.core.engine.batching import (
+    BatchAccumulator,
+    UpdateBatch,
+    check_batch_settings,
+)
 from repro.core.engine.core import ProtocolCore
 from repro.core.engine.effects import (
     Applied,
@@ -70,4 +74,5 @@ __all__ = [
     "StabilizeTick",
     "SyncInstall",
     "Tick",
+    "check_batch_settings",
 ]

@@ -15,6 +15,8 @@ flush window (virtual time in the simulator, loop time under asyncio,
   and hands back :class:`~repro.core.engine.effects.SendBatch` frames,
   either eagerly when a destination reaches ``max_updates`` or when the
   adapter's flush window closes.
+* :func:`check_batch_settings` -- the one validation of a runtime's
+  ``batch_window``/``batch_max`` settings.
 
 The accumulator never owns a timer: its owner (the in-process runtimes'
 :class:`repro.core.host.CoreHost`, or the TCP runtime) decides *when* to
@@ -24,11 +26,27 @@ and the flush-window semantics per-runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine.effects import SendBatch
+from repro.errors import ConfigurationError
 from repro.types import ReplicaId, Update
+
+
+def check_batch_settings(batch_window: float, batch_max: int) -> None:
+    """Reject a flush window or frame cap no runtime can honour.
+
+    An infinite window never flushes; nan and negative windows would
+    silently turn batching off; a frame must hold at least one update.
+    """
+    if not (math.isfinite(batch_window) and batch_window >= 0):
+        raise ConfigurationError(
+            f"batch_window must be finite and >= 0, got {batch_window!r}"
+        )
+    if batch_max < 1:
+        raise ConfigurationError(f"batch_max must be >= 1, got {batch_max!r}")
 
 
 @dataclass(frozen=True)

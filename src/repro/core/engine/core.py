@@ -16,9 +16,9 @@ Step 4 of the prototype used to be a full rescan of one flat pending
 list after every apply -- O(pending^2) under load.  The buffer is a FIFO
 queue per sender plus a *wake set*: a sender's queue is re-examined only
 when a local counter its predicate ``J`` actually reads has changed (the
-policy advertises those counters through the optional ``readiness_deps``
-hook; policies without the hook fall back to conservative
-wake-everything, which reproduces the historical behaviour exactly).
+policy advertises those counters through its ``readiness_deps`` hook;
+the base-class default of ``None`` means conservative wake-everything,
+which reproduces the historical behaviour exactly).
 Among all ready updates the engine still applies the globally
 earliest-arrived first, so apply order -- and therefore every recorded
 history -- is byte-identical to the original implementation, including
@@ -80,38 +80,6 @@ from repro.wire.codec import stabilize_frame_wire_bytes, timestamp_wire_bytes
 # by key is O(1).
 _PendingEntry = Tuple[Update, float, Optional[int]]
 
-#: ``advance`` plus the changed keys (``None`` = unknown delta).
-_AdvanceDelta = Callable[
-    [Timestamp, RegisterName], Tuple[Timestamp, Optional[FrozenSet[Edge]]]
-]
-#: ``merge`` plus the raised keys (``None`` = unknown delta).
-_MergeDelta = Callable[
-    [Timestamp, ReplicaId, Timestamp],
-    Tuple[Timestamp, Optional[FrozenSet[Edge]]],
-]
-_ReadinessDeps = Callable[[ReplicaId, Timestamp], FrozenSet[Edge]]
-#: Whole-queue readiness: index of the first ready timestamp, or None.
-_ReadyMany = Callable[
-    [Timestamp, ReplicaId, Sequence[Timestamp]], Optional[int]
-]
-#: Whole-frame merge: the post-frame timestamp plus raised keys when the
-#: frame is consecutively ready against an empty buffer, else None.
-_MergeRun = Callable[
-    [Timestamp, ReplicaId, Sequence[Timestamp]],
-    Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]],
-]
-#: Proof that no queued member can become ready at any frontier up to
-#: the given timestamp (False = cannot prove, take the generic path).
-_BlockedMany = Callable[
-    [Timestamp, ReplicaId, Sequence[Timestamp]], bool
-]
-_SenderSeq = Callable[[ReplicaId, Timestamp], Optional[int]]
-_NextSeq = Callable[[Timestamp, ReplicaId], Optional[int]]
-#: Stabilizing-policy hooks (see the TimestampPolicy extended surface).
-_UpdateTimestamp = Callable[[Timestamp, ReplicaId], Timestamp]
-_OwnClock = Callable[[Timestamp], int]
-_StabClock = Callable[[ReplicaId, Timestamp], int]
-_MergeClock = Callable[[Timestamp, int], Timestamp]
 #: One applied-but-unstable log entry:
 #: (clock, apply order, uid, register, value, metadata_only, applied at).
 _UnstableEntry = Tuple[
@@ -205,49 +173,37 @@ class ProtocolCore:
         # marks a sender whose queue cannot be seq-indexed (an update
         # without a sequence, or a duplicate) and falls back to scanning.
         self._seqmaps: Dict[ReplicaId, Optional[Dict[int, int]]] = {}
-        self._readiness_deps: Optional[_ReadinessDeps] = getattr(
-            policy, "readiness_deps", None
-        )
-        self._advance_delta: Optional[_AdvanceDelta] = getattr(
-            policy, "advance_delta", None
-        )
-        self._merge_delta: Optional[_MergeDelta] = getattr(
-            policy, "merge_delta", None
-        )
-        self._sender_seq: Optional[_SenderSeq] = getattr(
-            policy, "sender_seq", None
-        )
-        self._ready_many: Optional[_ReadyMany] = getattr(
-            policy, "ready_many", None
-        )
-        self._merge_run: Optional[_MergeRun] = getattr(
-            policy, "merge_run", None
-        )
-        self._blocked_many: Optional[_BlockedMany] = getattr(
-            policy, "blocked_many", None
-        )
-        self._next_seq: Optional[_NextSeq] = getattr(policy, "next_seq", None)
-        self._fifo = bool(
-            getattr(policy, "exact_sender_fifo", False)
-            and self._sender_seq is not None
-            and self._next_seq is not None
-        )
+        # The policy's engine hooks, bound once (see TimestampPolicy).
+        self._readiness_deps = policy.readiness_deps
+        self._advance_delta = policy.advance_delta
+        self._merge_delta = policy.merge_delta
+        self._sender_seq = policy.sender_seq
+        self._next_seq = policy.next_seq
+        self._ready_many = policy.ready_many
+        self._merge_run = policy.merge_run
+        self._blocked_many = policy.blocked_many
+        self._update_timestamp = policy.update_timestamp
+        self._fifo = policy.exact_sender_fifo
         # Visibility-cut (GST) state: when the policy stabilizes, reads
         # serve ``visible_store`` -- the applied store restricted to the
         # global-stable prefix -- while applies land in ``store``
         # immediately and queue in the unstable log until the cut passes
         # their clock.
-        self._stabilizing = bool(getattr(policy, "stabilizing", False))
+        self._stabilizing = policy.stabilizing
         self.visible_store: Optional[Dict[RegisterName, Any]] = None
         self.stabilization: Optional[StabilizationState] = None
         self._unstable: List[_UnstableEntry] = []
         self._unstable_order = 0
         self.visible_cut = 0
         if self._stabilizing:
-            self._update_timestamp: _UpdateTimestamp = policy.update_timestamp
-            self._own_clock: _OwnClock = policy.own_clock
-            self._stab_clock: _StabClock = policy.stabilization_clock
-            self._merge_clock: _MergeClock = policy.merge_clock
+            # Stabilization-only hooks (GstPolicy's surface).
+            self._own_clock: Callable[[Timestamp], int] = policy.own_clock
+            self._stab_clock: Callable[[ReplicaId, Timestamp], int] = (
+                policy.stabilization_clock
+            )
+            self._merge_clock: Callable[[Timestamp, int], Timestamp] = (
+                policy.merge_clock
+            )
             self._sent_count: Callable[[Timestamp, ReplicaId], int] = (
                 policy.sent_count
             )
@@ -379,13 +335,10 @@ class ProtocolCore:
         if advance is not None:
             self.timestamp = advance(before, register)
             self._wake_after_change(before, self.timestamp)
-        elif self._advance_delta is not None:
+        else:
             self.timestamp, changed = self._advance_delta(before, register)
             if self.timestamp is not before:
                 self._wake_on_changed(changed)
-        else:
-            self.timestamp = self.policy.advance(before, register)
-            self._wake_after_change(before, self.timestamp)
         self._note_timestamp()
         self.metrics.issued += 1
         if self.record_history:
@@ -394,10 +347,8 @@ class ProtocolCore:
             )
         ts = self.timestamp
         if self._stabilizing:
-            # Own writes join the unstable log (reads serve the cut, so
-            # even local writes wait for global stability) and each
-            # recipient gets the compact per-channel wire timestamp --
-            # the GST metadata economy -- instead of the full local one.
+            # Own writes join the unstable log: reads serve the cut, so
+            # even local writes wait for global stability.
             order = self._unstable_order
             self._unstable_order = order + 1
             self._unstable.append(
@@ -411,41 +362,14 @@ class ProtocolCore:
                     self._clock(),
                 )
             )
-            emit = self._emit
-            for k in self.graph.recipients(self.replica_id, register):
-                declared = self._dummy_map.get(k)
-                meta_only = (
-                    declared is not None
-                    and register in declared
-                    and register in self.graph.registers_at(k)
-                )
-                ts_k = self._update_timestamp(ts, k)
-                emit(
-                    Send(
-                        k,
-                        Update(
-                            uid=uid,
-                            register=register,
-                            value=None if meta_only else value,
-                            timestamp=ts_k,
-                            metadata_only=meta_only,
-                            payload=payload,
-                        ),
-                        len(ts_k),
-                        timestamp_wire_bytes(ts_k) if self.size_wire else 0,
-                    )
-                )
-            return uid
-        counters = len(ts)
-        # timestamp_wire_bytes memoizes on the (immutable) timestamp, so a
-        # fan-out of N recipients sizes the encoding once, not N times.
-        wire = timestamp_wire_bytes(ts) if self.size_wire else 0
         emit = self._emit
-        # Updates are immutable, so one object serves every recipient of
-        # the same flavour (a dense fan-out otherwise allocates dozens of
-        # identical copies per write).
-        full_update: Optional[Update] = None
-        meta_update: Optional[Update] = None
+        update_timestamp = self._update_timestamp
+        # Updates are immutable, so recipients whose wire timestamp is the
+        # local one share one (update, counters, wire bytes) per flavour --
+        # a dense fan-out otherwise allocates and sizes dozens of identical
+        # copies per write.  A per-channel wire timestamp (GST's metadata
+        # economy) gets its own update.
+        shared: Dict[bool, Tuple[Update, int, int]] = {}
         for k in self.graph.recipients(self.replica_id, register):
             # Appendix D: replicas holding `register` only as a dummy
             # receive metadata without the value.
@@ -455,29 +379,24 @@ class ProtocolCore:
                 and register in declared
                 and register in self.graph.registers_at(k)
             )
-            if meta_only:
-                if meta_update is None:
-                    meta_update = Update(
+            ts_k = update_timestamp(ts, k)
+            send = shared.get(meta_only) if ts_k is ts else None
+            if send is None:
+                send = (
+                    Update(
                         uid=uid,
                         register=register,
-                        value=None,
-                        timestamp=ts,
-                        metadata_only=True,
+                        value=None if meta_only else value,
+                        timestamp=ts_k,
+                        metadata_only=meta_only,
                         payload=payload,
-                    )
-                update = meta_update
-            else:
-                if full_update is None:
-                    full_update = Update(
-                        uid=uid,
-                        register=register,
-                        value=value,
-                        timestamp=ts,
-                        metadata_only=False,
-                        payload=payload,
-                    )
-                update = full_update
-            emit(Send(k, update, counters, wire))
+                    ),
+                    len(ts_k),
+                    timestamp_wire_bytes(ts_k) if self.size_wire else 0,
+                )
+                if ts_k is ts:
+                    shared[meta_only] = send
+            emit(Send(k, *send))
         return uid
 
     def set_dummy_map(
@@ -493,7 +412,6 @@ class ProtocolCore:
         """Step 3: buffer the update, then step 4: drain what's ready."""
         arrived = self._clock()
         if self.sync_armed and self._fifo:
-            assert self._sender_seq is not None and self._next_seq is not None
             seq = self._sender_seq(src, update.timestamp)
             want = self._next_seq(self.timestamp, src)
             if seq is not None and want is not None:
@@ -546,7 +464,7 @@ class ProtocolCore:
         check as usual.
 
         Fast path: when the pending buffer is empty and the policy
-        offers a ``merge_run`` kernel that proves the whole frame
+        has a ``merge_run`` kernel that proves the whole frame
         consecutively ready (the overwhelmingly common case on reliable
         channels), the frame is applied with a single folded merge and
         one timestamp materialization -- no enqueue, no candidate
@@ -557,7 +475,6 @@ class ProtocolCore:
         arrived = self._clock()
         if (
             updates
-            and self._merge_run is not None
             and not self.paused
             and self._timestamps_used is None
             and not self._stabilizing
@@ -588,7 +505,6 @@ class ProtocolCore:
                     self._apply_run(src, updates, arrived, run[0])
                     return
         if self.sync_armed and self._fifo:
-            assert self._sender_seq is not None and self._next_seq is not None
             want = self._next_seq(self.timestamp, src)
             for update in updates:
                 seq = self._sender_seq(src, update.timestamp)
@@ -687,12 +603,8 @@ class ProtocolCore:
         # the sender had dispatched to us by frame time has applied --
         # otherwise a reordered in-flight update below that clock could
         # still arrive.
-        applied_from_src: Optional[int] = None
-        if self._next_seq is not None:
-            want = self._next_seq(self.timestamp, src)
-            if want is not None:
-                applied_from_src = want - 1
-        if applied_from_src is not None and applied_from_src >= frame.sent:
+        want = self._next_seq(self.timestamp, src)
+        if want is not None and want - 1 >= frame.sent:
             st.note_heard(src, frame.clock)
         # Lamport receive rule (max, no bump): idle replicas' clocks
         # catch up so every LST -- and therefore the cut -- converges.
@@ -761,8 +673,6 @@ class ProtocolCore:
         passes through.
         """
         blocked = self._blocked_many
-        if blocked is None:
-            return False
         for sender, queue in self._queues.items():
             if not blocked(
                 final_ts,
@@ -787,7 +697,6 @@ class ProtocolCore:
         self._arrival += 1
         seq: Optional[int] = None
         if self._fifo:
-            assert self._sender_seq is not None
             seq = self._sender_seq(src, update.timestamp)
         queue = self._queues.get(src)
         if queue is None:
@@ -805,12 +714,9 @@ class ProtocolCore:
                     self._seqmaps[src] = None
                 else:
                     seqmap[seq] = arrival
-        if self._readiness_deps is None:
-            self._deps[src] = None
-        else:
-            deps = self._readiness_deps(src, update.timestamp)
-            prev = self._deps.get(src, deps)
-            self._deps[src] = None if prev is None else prev | deps
+        deps = self._readiness_deps(src, update.timestamp)
+        prev = self._deps.get(src, deps)
+        self._deps[src] = None if prev is None or deps is None else prev | deps
         self._dirty.add(src)
 
     def _wake_after_change(
@@ -839,9 +745,9 @@ class ProtocolCore:
         Under an exact sender-edge gap check at most one queued update per
         sender can satisfy J -- the one carrying the next sequence number
         -- so a seq-indexed sender resolves in O(1).  Senders that cannot
-        be seq-indexed (no hooks, lax predicates, unindexable entries)
-        scan their queue in arrival order, which preserves the historical
-        semantics for arbitrary predicates.
+        be seq-indexed (no sequence numbers, lax predicates, unindexable
+        entries) scan their queue in arrival order, which preserves the
+        historical semantics for arbitrary predicates.
         """
         queue = self._queues.get(sender)
         if not queue:
@@ -850,7 +756,6 @@ class ProtocolCore:
         ready = self.policy.ready
         seqmap = self._seqmaps.get(sender) if self._fifo else None
         if seqmap is not None:
-            assert self._next_seq is not None
             want = self._next_seq(ts, sender)
             if want is not None:
                 arrival = seqmap.get(want)
@@ -860,19 +765,16 @@ class ProtocolCore:
                     return arrival
                 return None
             # Sender edge untracked locally: fall through to scanning.
-        if self._ready_many is not None and len(queue) > 1:
-            # Whole-queue readiness in one comparison (vectorized
-            # policies); returns the first ready entry in arrival order,
-            # exactly like the scalar scan below.
+        if len(queue) > 1:
+            # Whole-queue readiness (one matrix comparison on vectorized
+            # policies): the first ready entry in arrival order.
             arrivals = list(queue)
             index = self._ready_many(
                 ts, sender, [queue[a][0].timestamp for a in arrivals]
             )
             return None if index is None else arrivals[index]
-        for arrival, entry in queue.items():
-            if ready(ts, sender, entry[0].timestamp):
-                return arrival
-        return None
+        arrival, entry = next(iter(queue.items()))
+        return arrival if ready(ts, sender, entry[0].timestamp) else None
 
     def _drain(self) -> None:
         """Apply pending updates whose predicate J holds, to fixpoint."""
@@ -933,15 +835,11 @@ class ProtocolCore:
                 f"unstored register {register!r}"
             )
         before = self.timestamp
-        if self._merge_delta is not None:
-            self.timestamp, changed = self._merge_delta(
-                before, src, update.timestamp
-            )
-            if self.timestamp is not before:
-                self._wake_on_changed(changed)
-        else:
-            self.timestamp = self.policy.merge(before, src, update.timestamp)
-            self._wake_after_change(before, self.timestamp)
+        self.timestamp, changed = self._merge_delta(
+            before, src, update.timestamp
+        )
+        if self.timestamp is not before:
+            self._wake_on_changed(changed)
         self._note_timestamp()
         now = self._clock()
         self.metrics.applied_remote += 1

@@ -19,7 +19,6 @@ write-ahead log.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Optional
 
@@ -39,10 +38,11 @@ from repro.core.engine import (
     SendStabilize,
     StabilizeFrame,
     UpdateBatch,
+    check_batch_settings,
 )
 from repro.core.share_graph import ShareGraph
 from repro.core.timestamp import Timestamp, TimestampPolicy
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.types import RegisterName, ReplicaId, Update
 
 __all__ = ["CoreHost"]
@@ -93,12 +93,7 @@ class CoreHost(ABC):
         batch_max: int = 64,
         **core_options: Any,
     ) -> None:
-        if not (math.isfinite(batch_window) and batch_window >= 0):
-            # An infinite window never flushes; nan and negative windows
-            # would silently turn batching off.
-            raise ConfigurationError(
-                f"batch_window must be finite and >= 0, got {batch_window!r}"
-            )
+        check_batch_settings(batch_window, batch_max)
         self.replica_id = replica_id
         self.graph = graph
         self.policy = policy

@@ -22,29 +22,23 @@ from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Any,
-    Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Mapping,
     Optional,
-    Tuple,
     Union,
 )
 
 from repro.core.causality import History
+from repro.core.policy_registry import PolicyFactory, build_policies
 from repro.core.replica import ApplyHook, Replica
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
-from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.delays import DelayModel
 from repro.network.faults import FaultPlan, ReliableNetwork
 from repro.network.transport import Network
 from repro.sim.kernel import Simulator
 from repro.types import RegisterName, ReplicaId, UpdateId
-
-PolicyFactory = Callable[[ShareGraph, ReplicaId], TimestampPolicy]
 
 
 class Client:
@@ -164,7 +158,8 @@ class DSMSystem:
     policy_factory:
         Builds the timestamp policy per replica.  Defaults to the paper's
         :class:`EdgeIndexedPolicy` over the exact timestamp graph, with one
-        shared loop-finder cache.
+        shared loop-finder cache (see
+        :func:`repro.core.policy_registry.build_policies`).
     seed, delay_model:
         Simulation determinism and channel behaviour.
     dummy_registers:
@@ -240,34 +235,18 @@ class DSMSystem:
                     f"dummy registers {sorted(map(repr, extra))} are not in "
                     f"the placement of replica {r!r}"
                 )
-        if policy_factory is None:
-            graphs = all_timestamp_graphs(self.graph, max_loop_len=max_loop_len)
-            if vectorized:
-                from repro.optimizations.vectorized import (
-                    VectorizedEdgeIndexedPolicy,
-                )
-
-                def policy_factory(
-                    graph: ShareGraph, rid: ReplicaId
-                ) -> TimestampPolicy:
-                    return VectorizedEdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-            else:
-
-                def policy_factory(
-                    graph: ShareGraph, rid: ReplicaId
-                ) -> TimestampPolicy:
-                    return EdgeIndexedPolicy(
-                        graph, rid, edges=graphs[rid].edges
-                    )
-
+        policies = build_policies(
+            self.graph,
+            policy_factory,
+            vectorized=vectorized,
+            max_loop_len=max_loop_len,
+        )
         self.replicas: Dict[ReplicaId, Replica] = {}
         for rid in self.graph.replicas:
             self.replicas[rid] = Replica(
                 replica_id=rid,
                 graph=self.graph,
-                policy=policy_factory(self.graph, rid),
+                policy=policies[rid],
                 network=self.network,
                 history=self.history,
                 dummy_registers=dummy_map.get(rid, frozenset()),
@@ -278,16 +257,6 @@ class DSMSystem:
             )
         for replica in self.replicas.values():
             replica.set_dummy_map(dummy_map)
-        # Vectorized policies compile per-sender position plans; doing it
-        # at wiring time (deterministic, index-only work) keeps the first
-        # frame from every sender off the compilation stall.
-        peer_policies = {
-            rid: replica.policy for rid, replica in self.replicas.items()
-        }
-        for replica in self.replicas.values():
-            prewarm = getattr(replica.policy, "prewarm", None)
-            if prewarm is not None:
-                prewarm(peer_policies)
         self._clients: Dict[ReplicaId, Client] = {
             rid: Client(replica) for rid, replica in self.replicas.items()
         }

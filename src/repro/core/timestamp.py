@@ -33,6 +33,7 @@ interoperate with array-constructed ones transparently.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import (
     Dict,
     FrozenSet,
@@ -40,7 +41,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
 )
@@ -207,75 +207,168 @@ class Timestamp:
         return f"Timestamp({inner})"
 
 
-class TimestampPolicy(Protocol):
+class TimestampPolicy(ABC):
     """The three open choices of the algorithm prototype (Section 2.1).
 
-    This is the *required* surface: representation-initialisation,
-    ``advance``, ``merge``, the delivery predicate ``J``, and a metadata
-    size.  Around it sits an *extended* policy-layer surface the engine,
-    wire codec, and adapters discover via ``getattr`` -- every hook is
-    optional, and a policy that omits one gets the documented fallback:
+    Every policy subclasses this.  A policy *must* implement the
+    prototype's surface: representation-initialisation (:meth:`initial`),
+    :meth:`advance`, :meth:`merge`, the delivery predicate ``J``
+    (:meth:`ready`), and a metadata size (:meth:`counters`).  Around it
+    the class declares the hooks the delivery engine, wire codec and
+    adapters call on every policy; each default below is the
+    conservative behaviour a policy gets unless it overrides the hook
+    with something faster or more precise.
 
     Identification
-        ``policy_tag: str`` -- short stable name used by the registry,
-        the versioned wire frames
+        ``policy_tag`` -- short stable name used by the registry, the
+        versioned wire frames
         (:data:`repro.wire.codec.TIMESTAMP_POLICY_TAGS`), and the bench
-        rows.  Fallback: ``"edge"`` (the paper's algorithm).
+        rows.  Default ``"edge"`` (the paper's algorithm).
 
     Hot-path deltas
-        ``advance_delta(ts, register)`` / ``merge_delta(ts, k, T)``
-        return ``(new_ts, changed_keys | None)`` so the delivery engine's
-        wake sets cost no second scan.  Fallback: plain
-        ``advance``/``merge`` plus :meth:`Timestamp.diff_keys`.
+        :meth:`advance_delta` / :meth:`merge_delta` return ``(new_ts,
+        changed_keys | None)`` so the delivery engine's wake sets cost no
+        second scan.  Default: plain ``advance``/``merge`` plus
+        :meth:`Timestamp.diff_keys`.
 
     Seq-indexed delivery
-        ``exact_sender_fifo: bool`` plus ``sender_seq(k, T)`` /
-        ``next_seq(ts, k)`` let the engine index each sender's queue by
-        its strictly-increasing sender-edge counter.  Fallback: linear
-        queue scans.  ``readiness_deps(k, T)`` names the local counters
-        ``J`` reads (wake-set precision); fallback: wake on any change.
+        ``exact_sender_fifo`` plus :meth:`sender_seq` / :meth:`next_seq`
+        let the engine index each sender's queue by its
+        strictly-increasing sender-edge counter.  Default: ``False`` and
+        ``None`` -- linear queue scans.  :meth:`readiness_deps` names the
+        local counters ``J`` reads (wake-set precision); default
+        ``None``: wake on any change.
+
+    Whole-queue kernels
+        :meth:`ready_many` (first ready member of a sender queue;
+        default: the arrival-order scan over :meth:`ready`),
+        :meth:`merge_run` (fold a consecutively ready batch frame;
+        default ``None``: cannot prove, take the generic path) and
+        :meth:`blocked_many` (prove no queued member can become ready;
+        default ``False``).  :meth:`prewarm` compiles per-peer plans at
+        wiring time; default: nothing to compile.
 
     Stabilization (the GST layer, :mod:`repro.gst`)
-        ``stabilizing: bool`` -- when true the engine splits *applied*
-        from *visible* state: updates apply immediately (FIFO per
-        sender) but reads serve the global-stabilization cut.  A
-        stabilizing policy must also provide ``update_timestamp(ts,
-        dst)`` (the compact per-destination wire timestamp attached to
-        outgoing updates), ``own_clock(ts)`` (the scalar Lamport
-        clock), ``stabilization_clock(src, T)`` (the sender clock
-        carried by a received update), ``merge_clock(ts, clock)`` (fold
-        a clock heard via a stabilize frame into the local timestamp)
-        and ``sent_count(ts, dst)`` (how many updates this replica has
+        ``stabilizing`` -- when true the engine splits *applied* from
+        *visible* state: updates apply immediately (FIFO per sender) but
+        reads serve the global-stabilization cut.
+        :meth:`update_timestamp` is the per-destination wire timestamp
+        attached to outgoing updates; default: the local timestamp
+        itself, shared by every recipient.  A stabilizing policy must
+        also provide ``own_clock(ts)`` (the scalar Lamport clock),
+        ``stabilization_clock(src, T)`` (the sender clock carried by a
+        received update), ``merge_clock(ts, clock)`` (fold a clock heard
+        via a stabilize frame into the local timestamp) and
+        ``sent_count(ts, dst)`` (how many updates this replica has
         dispatched toward ``dst`` -- the bound that personalizes each
-        stabilize frame).
-        Fallback: ``stabilizing = False`` -- reads serve applied state
+        stabilize frame); only :class:`repro.gst.GstPolicy` does.
+        Default: ``stabilizing = False`` -- reads serve applied state
         directly and no stabilize traffic is emitted.
     """
 
+    policy_tag = "edge"
+    exact_sender_fifo = False
+    stabilizing = False
+
     replica_id: ReplicaId
 
+    # -- the prototype's surface ----------------------------------------
+    @abstractmethod
     def initial(self) -> Timestamp:
         """Suitably initialized timestamp ``tau_i``."""
-        ...
 
+    @abstractmethod
     def advance(self, ts: Timestamp, register: RegisterName) -> Timestamp:
         """``advance(i, tau_i, x, v)`` -- called on a local write."""
-        ...
 
-    def merge(self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp) -> Timestamp:
+    @abstractmethod
+    def merge(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Timestamp:
         """``merge(i, tau_i, k, tau_k)`` -- called when applying an update."""
-        ...
 
-    def ready(self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp) -> bool:
+    @abstractmethod
+    def ready(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> bool:
         """Predicate ``J(i, tau_i, k, tau_k)``."""
-        ...
 
+    @abstractmethod
     def counters(self) -> int:
         """Number of counters this policy maintains (metadata size)."""
-        ...
+
+    # -- engine hooks ---------------------------------------------------
+    def advance_delta(
+        self, ts: Timestamp, register: RegisterName
+    ) -> Tuple[Timestamp, Optional[FrozenSet[Edge]]]:
+        """``advance`` plus the keys it changed (``None`` = unknown)."""
+        new_ts = self.advance(ts, register)
+        return new_ts, new_ts.diff_keys(ts)
+
+    def merge_delta(
+        self, ts: Timestamp, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Tuple[Timestamp, Optional[FrozenSet[Edge]]]:
+        """``merge`` plus the keys it raised (``None`` = unknown)."""
+        new_ts = self.merge(ts, sender, sender_ts)
+        return new_ts, new_ts.diff_keys(ts)
+
+    def readiness_deps(
+        self, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Optional[FrozenSet[Edge]]:
+        """Local counters ``J`` reads for this sender (``None`` = any)."""
+        return None
+
+    def sender_seq(
+        self, sender: ReplicaId, sender_ts: Timestamp
+    ) -> Optional[int]:
+        """Sender-edge sequence number of an update (``None`` = none)."""
+        return None
+
+    def next_seq(self, ts: Timestamp, sender: ReplicaId) -> Optional[int]:
+        """Sequence number the next applicable update must carry."""
+        return None
+
+    def ready_many(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> Optional[int]:
+        """Index of the first queue entry satisfying ``J``, else ``None``."""
+        for index, sender_ts in enumerate(sender_timestamps):
+            if self.ready(ts, sender, sender_ts):
+                return index
+        return None
+
+    def merge_run(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> Optional[Tuple[Timestamp, Optional[FrozenSet[Edge]]]]:
+        """Post-frame timestamp of a consecutively ready frame, or ``None``
+        when the policy cannot prove the whole frame ready in order."""
+        return None
+
+    def blocked_many(
+        self,
+        ts: Timestamp,
+        sender: ReplicaId,
+        sender_timestamps: Sequence[Timestamp],
+    ) -> bool:
+        """True when provably no member can satisfy ``J`` at any frontier
+        up to ``ts``; ``False`` means "cannot prove"."""
+        return False
+
+    def prewarm(self, peers: Mapping[ReplicaId, "TimestampPolicy"]) -> None:
+        """Compile per-peer plans for the share-graph neighbours ``peers``."""
+
+    def update_timestamp(self, ts: Timestamp, dst: ReplicaId) -> Timestamp:
+        """The timestamp an outgoing update to ``dst`` carries."""
+        return ts
 
 
-class EdgeIndexedPolicy:
+class EdgeIndexedPolicy(TimestampPolicy):
     """The paper's algorithm (Section 3.3) over an explicit edge set.
 
     Parameters
@@ -314,12 +407,6 @@ class EdgeIndexedPolicy:
     #: ``e_ki`` (``tau[e_ki] == T[e_ki] - 1``), so the delivery engine may
     #: index each sender's queue by that counter and skip linear scans.
     exact_sender_fifo = True
-
-    #: Registry / wire identity (see :class:`TimestampPolicy` docs).
-    policy_tag = "edge"
-
-    #: Edge-indexed delivery is causal at apply time: no visibility cut.
-    stabilizing = False
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.edge_index import EdgeIndex
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import Timestamp
+from repro.core.timestamp import Timestamp, TimestampPolicy
 from repro.errors import ConfigurationError
 from repro.types import Edge, RegisterName, ReplicaId
 from repro.wire.codec import canonical_edge_order
@@ -46,7 +46,7 @@ def gst_wire_order(issuer: ReplicaId, dst: ReplicaId) -> Tuple[Edge, ...]:
     return canonical_edge_order([(CLOCK, issuer), (issuer, dst)])
 
 
-class GstPolicy:
+class GstPolicy(TimestampPolicy):
     """Lamport clock + per-channel FIFO sequences + visibility cut."""
 
     exact_sender_fifo = True

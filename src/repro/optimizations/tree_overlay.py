@@ -200,9 +200,9 @@ class TreeOverlaySystem:
     """A :class:`DSMSystem` whose cross-tree registers ride the overlay.
 
     ``vectorized=True`` selects the numpy timestamp kernels and prewarms
-    their compiled plans at wiring (``DSMSystem`` runs the prewarm sweep
-    for any policy exposing one), so the overlay's forwarding writes hit
-    the vectorized fast path from the first frame.  Without numpy the
+    their compiled plans at wiring (``DSMSystem`` prewarms every policy
+    against its share-graph neighbours), so the overlay's forwarding
+    writes hit the vectorized fast path from the first frame.  Without numpy the
     flag degrades to the scalar edge-indexed policy -- same results,
     same plans, no fast path -- so callers never need to guard on the
     import.  Further ``system_kwargs`` (``batch_window`` etc.) pass

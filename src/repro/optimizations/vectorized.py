@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.core.edge_index import EdgeIndex
-from repro.core.timestamp import EdgeIndexedPolicy, Timestamp
+from repro.core.timestamp import EdgeIndexedPolicy, Timestamp, TimestampPolicy
 from repro.types import Edge, RegisterName, ReplicaId
 
 try:  # pragma: no cover - exercised both ways across CI environments
@@ -174,22 +174,20 @@ class VectorizedEdgeIndexedPolicy(EdgeIndexedPolicy):
         self._vrun_plans[key] = plan
         return plan
 
-    def prewarm(self, peers: Mapping[ReplicaId, object]) -> None:
-        """Compile every peer's merge/ready/run plans at wiring time.
+    def prewarm(self, peers: Mapping[ReplicaId, TimestampPolicy]) -> None:
+        """Compile every neighbour's merge/ready/run plans at wiring time.
 
         Plan compilation is deterministic and depends only on the edge
         indexes, so running it when the system is wired moves the
         first-frame compilation stalls off the message hot path.  Peers
-        whose policies carry no edge index (foreign policy classes) are
-        skipped; missing peers simply compile lazily as before.
+        that are not edge-indexed policies carry no edge index and are
+        skipped; peers not passed simply compile lazily as before.
         """
         if _np is None:
             return
         for sender, peer in peers.items():
-            if sender == self.replica_id:
-                continue
-            eindex = getattr(peer, "_eindex", None)
-            if isinstance(eindex, EdgeIndex):
+            if isinstance(peer, EdgeIndexedPolicy):
+                eindex = peer._eindex
                 self._vmerge_plan(eindex)
                 self._vready_plan(sender, eindex)
                 self._vrun_plan(sender, eindex)
@@ -432,16 +430,8 @@ class VectorizedEdgeIndexedPolicy(EdgeIndexedPolicy):
         hits = _np.flatnonzero(ok)
         return int(hits[0]) if hits.size else None
 
-    def _ready_many_scalar(
-        self,
-        ts: Timestamp,
-        sender: ReplicaId,
-        sender_timestamps: Sequence[Timestamp],
-    ) -> Optional[int]:
-        for i, sender_ts in enumerate(sender_timestamps):
-            if self.ready(ts, sender, sender_ts):
-                return i
-        return None
+    #: The base class's arrival-order scan over the scalar predicate.
+    _ready_many_scalar = TimestampPolicy.ready_many
 
     def __repr__(self) -> str:
         kernels = "numpy" if HAVE_NUMPY else "scalar-fallback"

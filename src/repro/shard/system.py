@@ -8,10 +8,9 @@ built from the *per-group* edge sets of
 :meth:`~repro.shard.plan.ShardPlan.replica_edges`, so every compiled
 :class:`~repro.core.timestamp.EdgeIndex` plan stays group-sized no
 matter how many groups the deployment has.  The vectorized policy is
-prewarmed against each replica's actual share-graph neighbours (an
-all-pairs sweep would be quadratic in the replica count) and send-side
-batching is on by default: this is the throughput configuration the
-``shard-*`` bench rows measure.
+on by default (prewarmed, like every system's, against each replica's
+share-graph neighbours only) and so is send-side batching: this is the
+throughput configuration the ``shard-*`` bench rows measure.
 
 Cross-group writes ride the tree overlay: a write of a cross register at
 a subscriber contact updates the local per-group alias, then fans out
@@ -25,10 +24,10 @@ delivery, the same argument -- and the same checker -- as
 
 from __future__ import annotations
 
-import time as _time
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.causality import History
+from repro.core.policy_registry import build_policies
 from repro.core.replica import Replica
 from repro.core.share_graph import ShareGraph
 from repro.core.system import SystemMetrics, aggregate_metrics
@@ -74,38 +73,21 @@ class ShardedSystem:
         self.simulator = Simulator(seed=seed)
         self.network = Network(self.simulator, delay_model=delay_model)
         self.history = History()
-        if vectorized:
-            from repro.optimizations.vectorized import (
-                VectorizedEdgeIndexedPolicy,
-            )
-
-            policy_cls = VectorizedEdgeIndexedPolicy
-        else:
-            policy_cls = EdgeIndexedPolicy
+        policies = build_policies(
+            self.graph, vectorized=vectorized, edges=edges
+        )
         self.replicas: Dict[ReplicaId, Replica] = {}
         for rid in self.graph.replicas:
             self.replicas[rid] = Replica(
                 replica_id=rid,
                 graph=self.graph,
-                policy=policy_cls(self.graph, rid, edges=edges[rid]),
+                policy=policies[rid],
                 network=self.network,
                 history=self.history,
                 on_apply=self._on_apply,
                 batch_window=batch_window,
                 batch_max=batch_max,
             )
-        # Prewarm against actual share-graph neighbours only: the peers a
-        # replica can ever receive a frame from.  DSMSystem's all-pairs
-        # sweep is fine at 32 replicas but quadratic at 512.
-        for rid, replica in self.replicas.items():
-            prewarm = getattr(replica.policy, "prewarm", None)
-            if prewarm is not None:
-                prewarm(
-                    {
-                        n: self.replicas[n].policy
-                        for n in self.graph.neighbors(rid)
-                    }
-                )
         self._alias_of: Dict[
             Tuple[ReplicaId, RegisterName], RegisterName
         ] = {}

@@ -47,9 +47,11 @@ from repro.core.engine import (
     RecordHistory,
     RollbackChannels,
     Send,
+    check_batch_settings,
 )
+from repro.core.policy_registry import build_policies
 from repro.core.share_graph import ShareGraph
-from repro.core.timestamp import EdgeIndexedPolicy, TimestampPolicy
+from repro.core.timestamp import TimestampPolicy
 from repro.core.timestamp_graph import all_timestamp_graphs
 from repro.errors import ConfigurationError, ProtocolError, WireDecodeError
 from repro.gst.policy import GstPolicy, gst_wire_order
@@ -129,6 +131,9 @@ class TcpConfig:
     shed_threshold: Optional[int] = None
     #: Retry hint (seconds) returned with a shed reply.
     shed_retry_after: float = 0.1
+
+    def __post_init__(self) -> None:
+        check_batch_settings(self.batch_window, self.batch_max)
 
 
 @dataclass(frozen=True)
@@ -497,17 +502,11 @@ class TcpReplicaServer:
         """
         if self.config.policy == "gst":
             return GstPolicy(self.graph, self.replica_id)
-        if self.config.vectorized:
-            from repro.optimizations.vectorized import (
-                VectorizedEdgeIndexedPolicy,
-            )
-
-            return VectorizedEdgeIndexedPolicy(
-                self.graph, self.replica_id, edges=self._edges
-            )
-        return EdgeIndexedPolicy(
-            self.graph, self.replica_id, edges=self._edges
-        )
+        return build_policies(
+            self.graph,
+            vectorized=self.config.vectorized,
+            edges={self.replica_id: self._edges},
+        )[self.replica_id]
 
     # ------------------------------------------------------------------
     # Lifecycle

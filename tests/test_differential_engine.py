@@ -23,6 +23,7 @@ import pytest
 
 from repro.baselines.legacy import legacy_policy_factory
 from repro.core.system import DSMSystem
+from repro.core.timestamp import TimestampPolicy
 from repro.network.faults import ChannelFaults, FaultPlan
 from repro.optimizations.vectorized import HAVE_NUMPY
 from repro.workloads import (
@@ -141,9 +142,13 @@ def test_legacy_policy_uses_conservative_path() -> None:
         tree_placements(4), seed=7, policy_factory=legacy_policy_factory
     )
     replica = next(iter(system.replicas.values()))
-    assert replica.core._advance_delta is None
-    assert replica.core._merge_delta is None
-    assert replica.core._readiness_deps is None
+    # The legacy policy overrides none of the engine hooks: it runs on
+    # the base class's conservative defaults (plain advance/merge plus a
+    # diff scan, wake-everything readiness, linear queue scans).
+    cls = type(replica.policy)
+    assert cls.advance_delta is TimestampPolicy.advance_delta
+    assert cls.merge_delta is TimestampPolicy.merge_delta
+    assert cls.readiness_deps is TimestampPolicy.readiness_deps
     assert not replica.core._fifo
 
 

@@ -1,19 +1,22 @@
 """Conformance of every registered timestamp policy to the policy layer.
 
 Parametrizes over :func:`repro.core.policy_registry.registered_policies`
-so a policy added to the registry is automatically held to the extended
-surface documented on :class:`repro.core.timestamp.TimestampPolicy`:
-identification, delta hooks consistent with their plain counterparts,
-seq-indexed delivery when ``exact_sender_fifo`` is claimed, the
-stabilization hooks when ``stabilizing`` is claimed, and (for safe
-policies) a clean end-to-end run through the real engine + checker.
+so a policy added to the registry is automatically held to the surface
+declared by :class:`repro.core.timestamp.TimestampPolicy`: the base
+class itself, identification, delta hooks consistent with their plain
+counterparts, seq-indexed delivery when ``exact_sender_fifo`` is
+claimed, the stabilization hooks when ``stabilizing`` is claimed, and
+(for safe policies) a clean end-to-end run through the real engine +
+checker.
 """
 
 import pytest
 
+from repro.baselines.legacy import LegacyEdgeIndexedPolicy
 from repro.core.policy_registry import policy_entry, registered_policies
 from repro.core.share_graph import ShareGraph
 from repro.core.system import DSMSystem
+from repro.core.timestamp import TimestampPolicy
 from repro.workloads import (
     clique_placements,
     ring_placements,
@@ -41,10 +44,15 @@ def _build(entry):
 def test_registry_is_consistent(tag):
     entry = policy_entry(tag)
     _, _, policy = _build(entry)
+    assert isinstance(policy, TimestampPolicy)
     assert policy.policy_tag == tag
     assert isinstance(policy.stabilizing, bool)
-    assert policy.stabilizing == entry.stabilizing
     assert isinstance(policy.exact_sender_fifo, bool)
+
+
+def test_legacy_oracle_subclasses_the_declared_surface():
+    graph = ShareGraph(ring_placements(6))
+    assert isinstance(LegacyEdgeIndexedPolicy(graph, 1), TimestampPolicy)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -77,20 +85,18 @@ def test_delta_hooks_match_plain_counterparts(tag):
     peer = sorted(graph.neighbors(rid), key=str)[0]
     register = sorted(graph.shared(rid, peer), key=str)[0]
     ts0 = policy.initial()
-    if hasattr(policy, "advance_delta"):
-        via_delta, keys = policy.advance_delta(ts0, register)
-        assert via_delta == policy.advance(ts0, register)
-        if keys is not None:
-            assert set(keys) <= set(via_delta.index)
+    via_delta, keys = policy.advance_delta(ts0, register)
+    assert via_delta == policy.advance(ts0, register)
+    if keys is not None:
+        assert set(keys) <= set(via_delta.index)
     sender = entry.factory(graph, peer)
-    sender_ts = sender.advance(sender.initial(), register)
-    if sender.stabilizing:
-        sender_ts = sender.update_timestamp(sender_ts, rid)
-    if hasattr(policy, "merge_delta"):
-        via_delta, keys = policy.merge_delta(ts0, peer, sender_ts)
-        assert via_delta == policy.merge(ts0, peer, sender_ts)
-        if keys is not None:
-            assert set(keys) <= set(via_delta.index)
+    sender_ts = sender.update_timestamp(
+        sender.advance(sender.initial(), register), rid
+    )
+    via_delta, keys = policy.merge_delta(ts0, peer, sender_ts)
+    assert via_delta == policy.merge(ts0, peer, sender_ts)
+    if keys is not None:
+        assert set(keys) <= set(via_delta.index)
 
 
 @pytest.mark.parametrize("tag", TAGS)

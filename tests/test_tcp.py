@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import io
+import json
 
 import pytest
 
-from repro.errors import ProtocolError, WireDecodeError
+from repro.errors import ConfigurationError, ProtocolError, WireDecodeError
 from repro.tcp import TcpCluster, TcpConfig
+from repro.tcp.cluster import read_cluster_config, write_cluster_config
 from repro.tcp.framing import (
     MAX_FRAME,
     Frame,
@@ -148,6 +150,41 @@ class TestWal:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert list(read_wal(str(tmp_path / "absent.wal"))) == []
+
+
+# ----------------------------------------------------------------------
+# Config validation
+# ----------------------------------------------------------------------
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"batch_window": float("inf")},
+            {"batch_window": float("nan")},
+            {"batch_window": -1.0},
+            {"batch_max": 0},
+        ],
+        ids=["inf-window", "nan-window", "negative-window", "zero-max"],
+    )
+    def test_bad_batch_settings_in_cluster_json_rejected(self, tmp_path, bad):
+        # An infinite window strands staged updates forever; nan and
+        # negative windows silently turn batching off; a zero frame cap
+        # is what BatchAccumulator rejects in-process.
+        path = str(tmp_path / "cluster.json")
+        write_cluster_config(
+            path,
+            {r: sorted(regs) for r, regs in PLACEMENTS.items()},
+            {r: 0 for r in PLACEMENTS},
+            str(tmp_path),
+        )
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["config"].update(bad)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        config = read_cluster_config(path)["config"]
+        with pytest.raises(ConfigurationError, match="batch_"):
+            TcpConfig(**config)
 
 
 # ----------------------------------------------------------------------
